@@ -43,17 +43,6 @@ def _merge(*tables: dict[str, str]) -> dict[str, str]:
     return out
 
 
-def _whisker_left(wire_count: int, m: Molecule) -> tuple[Molecule, dict[str, str]]:
-    """``I_wire_count ∘0 m``; returns the gluing with m's top tracked as 'cell'."""
-    glued = paste(interval_chain(wire_count), m, 0)
-    return glued, _via({"cell": _top_of(m)}, glued, "right")
-
-
-def _whisker_right(m: Molecule, wire_count: int) -> tuple[Molecule, dict[str, str]]:
-    glued = paste(m, interval_chain(wire_count), 0)
-    return glued, _via({"cell": _top_of(m)}, glued, "left")
-
-
 def _top_of(m: Molecule) -> str:
     tops = [x for x in m.members if m.complex.dim_of(x) == m.dim]
     if len(tops) != 1:

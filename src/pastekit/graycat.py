@@ -170,12 +170,6 @@ def nf_target(e: GrayExpr3) -> TwoCellNF:
     return walk(e)[-1]
 
 
-def compose(e1: GrayExpr3, e2: GrayExpr3) -> GrayExpr3:
-    if nf_target(e1) != nf_source(e2):
-        raise ExpressionError("composite boundary mismatch")
-    return GrayExpr3(e1.complex, e1.source, e1.steps + e2.steps)
-
-
 # -- canonical interchanger paths ------------------------------------------------
 
 

@@ -6,11 +6,15 @@ along a matching k-boundary.  Constructors (`globe`, `paste`, `cell_to`,
 `compos`, `substitute`) build certificates as they go; `recognize` rebuilds
 one from a bare closed subset by exhaustive split search, which is complete
 up to dimension 3.
+
+`paste`, `cell_to` and `substitute` share one gluing step: keep a subset of
+each side, identify right elements with left ones along a boundary
+isomorphism, and rename the rest ``left/x`` and ``right/y``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .ogp import Complex, MINUS, PLUS, SIGNS, spherical_boundary
 
@@ -248,11 +252,44 @@ def unique_iso(
 # -- gluing constructors -------------------------------------------------------
 
 
-def _prefix_table(cx: Complex, members: frozenset[str], prefix: str) -> dict:
-    return {
-        f"{prefix}{x}": (cx.dim_of(x), [(f"{prefix}{t}", s) for t, s in cx.covers(x) if t in members])
-        for x in members
-    }
+def _glue(
+    lcx: Complex, lkeep: frozenset[str], rcx: Complex, rkeep: frozenset[str], ident: Mapping[str, str]
+) -> tuple[dict, dict[str, str], dict[str, str]]:
+    """The element table of two kept subsets glued along ``ident`` (right id -> left id).
+
+    Left elements become ``left/x``; right elements become ``right/y`` unless
+    ``ident`` identifies them with a left element, whose id they take.  Each
+    element keeps its covers, in order, that lie inside its kept subset.
+    Returns the table and the two origin maps.
+    """
+    left_map = {x: f"left/{x}" for x in lkeep}
+    right_map = {y: f"left/{ident[y]}" if y in ident else f"right/{y}" for y in rkeep}
+    table = {}
+    for cx, keep, rename, skip in ((lcx, lkeep, left_map, {}), (rcx, rkeep, right_map, ident)):
+        for x in keep:
+            if x not in skip:
+                table[rename[x]] = (cx.dim_of(x), [(rename[t], s) for t, s in cx.covers(x) if t in keep])
+    return table, left_map, right_map
+
+
+def _sphere_iso(
+    u: Molecule, v: Molecule, k: int, differ: Callable[[str], Exception], disagree: str
+) -> dict[str, str]:
+    """The isomorphism of both signed k-boundaries of ``u`` onto those of ``v``.
+
+    Raises ``differ(sign)`` when a pair of boundaries is not isomorphic, and
+    ``RuntimeError(disagree)`` when the two halves disagree where they meet.
+    """
+    iso: dict[str, str] = {}
+    for sign in SIGNS:
+        part = unique_iso((u.complex, u.boundary(k, sign)), (v.complex, v.boundary(k, sign)))
+        if part is None:
+            raise differ(sign)
+        for x, y in part.items():
+            if iso.get(x, y) != y:
+                raise RuntimeError(disagree)
+            iso[x] = y
+    return iso
 
 
 def paste(u1: Molecule, u2: Molecule, k: int, name: str | None = None) -> Molecule:
@@ -279,19 +316,9 @@ def paste(u1: Molecule, u2: Molecule, k: int, name: str | None = None) -> Molecu
             f"boundaries not isomorphic (first mismatch in stratum {stratum}, "
             f"sizes {len(b1)} vs {len(b2)})"
         )
-    into = {y: f"left/{x}" for x, y in iso.items()}  # u2 boundary id -> new id
-    left_map = {x: f"left/{x}" for x in u1.members}
-    right_map = {
-        y: into.get(y, f"right/{y}") for y in u2.members
-    }
-    table = _prefix_table(u1.complex, u1.members, "left/")
-    for y in u2.members:
-        if y in into:
-            continue
-        table[right_map[y]] = (
-            u2.complex.dim_of(y),
-            [(right_map[t], s) for t, s in u2.complex.covers(y) if t in u2.members],
-        )
+    table, left_map, right_map = _glue(
+        u1.complex, u1.members, u2.complex, u2.members, {y: x for x, y in iso.items()}
+    )
     cx = Complex(name or f"({u1.complex.name}#{k}{u2.complex.name})", table)
     left = _remap(u1, left_map, cx)
     right = _remap(u2, right_map, cx)
@@ -319,35 +346,20 @@ def cell_to(u: Molecule, v: Molecule, name: str | None = None, top: str = "top")
         raise PastingError("cell_to requires molecules of equal dimension")
     if not spherical(u) or not spherical(v):
         raise PastingError("cell_to requires spherical boundaries")
-    iso: dict[str, str] = {}
-    for sign in SIGNS:
-        bu = u.boundary(n - 1, sign)
-        bv = v.boundary(n - 1, sign)
-        part = unique_iso((u.complex, bu), (v.complex, bv))
-        if part is None:
-            raise PastingError(
-                f"cell_to: {sign}-boundaries of {u.complex.name} and {v.complex.name} differ"
-            )
-        for x, y in part.items():
-            if iso.get(x, y) != y:
-                raise RuntimeError("boundary isomorphisms disagree on the shared sphere")
-            iso[x] = y
-    into = {y: f"left/{x}" for x, y in iso.items()}
-    left_map = {x: f"left/{x}" for x in u.members}
-    right_map = {y: into.get(y, f"right/{y}") for y in v.members}
-    table = _prefix_table(u.complex, u.members, "left/")
-    for y in v.members:
-        if y in into:
-            continue
-        table[right_map[y]] = (
-            v.complex.dim_of(y),
-            [(right_map[t], s) for t, s in v.complex.covers(y) if t in v.members],
-        )
+    iso = _sphere_iso(
+        u,
+        v,
+        n - 1,
+        lambda sign: PastingError(f"cell_to: {sign}-boundaries of {u.complex.name} and {v.complex.name} differ"),
+        "boundary isomorphisms disagree on the shared sphere",
+    )
+    ident = {y: x for x, y in iso.items()}
+    table, left_map, right_map = _glue(u.complex, u.members, v.complex, v.members, ident)
     top_cov = [(left_map[x], MINUS) for x in sorted(u.members) if u.complex.dim_of(x) == n]
     top_cov += [
         (right_map[y], PLUS)
         for y in sorted(v.members)
-        if v.complex.dim_of(y) == n and y not in into
+        if v.complex.dim_of(y) == n and y not in ident
     ]
     if not top_cov:
         raise PastingError("cell_to would create a cell with no faces")
@@ -357,7 +369,7 @@ def cell_to(u: Molecule, v: Molecule, name: str | None = None, top: str = "top")
     cl = cx.whole()
     if cx.boundary(cl, n, MINUS) != frozenset(left_map.values()):
         raise RuntimeError("cell_to: input boundary does not reproduce the source")
-    if cx.boundary(cl, n, PLUS) != frozenset(right_map[y] for y in v.members):
+    if cx.boundary(cl, n, PLUS) != frozenset(right_map.values()):
         raise RuntimeError("cell_to: output boundary does not reproduce the target")
     return Molecule(cx, cl, Atom(top), left_map, right_map)
 
@@ -397,17 +409,13 @@ def substitute(u: Molecule, v_members: frozenset[str], w: Molecule, name: str | 
         raise SubstitutionError("site and replacement must share their top dimension")
     if not spherical(v) or not spherical(w):
         raise SubstitutionError("substitution requires spherical boundaries")
-    iso: dict[str, str] = {}  # boundary of w -> boundary of v
-    for sign in SIGNS:
-        part = unique_iso(
-            (w.complex, w.boundary(k - 1, sign)), (cx, cx.boundary(v_members, k - 1, sign))
-        )
-        if part is None:
-            raise SubstitutionError(f"{sign}-boundaries of site and replacement differ")
-        for x, y in part.items():
-            if iso.get(x, y) != y:
-                raise RuntimeError("substitution boundary isomorphisms disagree")
-            iso[x] = y
+    iso = _sphere_iso(  # boundary of w -> boundary of v
+        w,
+        v,
+        k - 1,
+        lambda sign: SubstitutionError(f"{sign}-boundaries of site and replacement differ"),
+        "substitution boundary isomorphisms disagree",
+    )
     v_boundary = cx.boundary(v_members, k - 1, MINUS) | cx.boundary(v_members, k - 1, PLUS)
     interior = v_members - v_boundary
     if any(t in interior for x in u.members - v_members for t, _ in cx.covers(x)):
@@ -423,25 +431,9 @@ def substitute(u: Molecule, v_members: frozenset[str], w: Molecule, name: str | 
         interior = frozenset()
         v_boundary = v_members
     kept = (u.members - v_members) | v_boundary
-    left_map = {x: f"left/{x}" for x in kept}
-    right_map = {y: f"left/{iso[y]}" if y in iso else f"right/{y}" for y in w.members}
-    table = {}
+    table, left_map, right_map = _glue(cx, kept, w.complex, w.members, iso)
     try:
-        for x in kept:
-            table[left_map[x]] = (
-                cx.dim_of(x),
-                [(left_map[t], s) for t, s in cx.covers(x) if t in kept],
-            )
-        for y in w.members:
-            if y in iso:
-                continue
-            table[right_map[y]] = (
-                w.complex.dim_of(y),
-                [(right_map[t], s) for t, s in w.complex.covers(y) if t in w.members],
-            )
         out = Complex(name or f"{cx.name}[sub]", table)
-    except SubstitutionError:
-        raise
     except ValueError as exc:
         raise SubstitutionError(f"substitution produced a broken poset: {exc}") from exc
     res = recognize(out, out.whole())
@@ -460,36 +452,6 @@ def substitute(u: Molecule, v_members: frozenset[str], w: Molecule, name: str | 
 # -- recognition ---------------------------------------------------------------
 
 
-def _lex_kahn(adj: dict[str, tuple[str, ...]]) -> list[str] | None:
-    """Topological order with lexicographically-least ready vertex, or None."""
-    import heapq
-
-    indeg = {v: 0 for v in adj}
-    for v, ws in adj.items():
-        for w in ws:
-            indeg[w] += 1
-    ready = [v for v, d in indeg.items() if d == 0]
-    heapq.heapify(ready)
-    out = []
-    while ready:
-        v = heapq.heappop(ready)
-        out.append(v)
-        for w in adj[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(ready, w)
-    if len(out) != len(adj):
-        return None
-    return out
-
-
-def _maxd_adj(cx: Complex, members: frozenset[str], n: int) -> dict[str, tuple[str, ...]]:
-    from .orders import maxd
-
-    g = maxd(cx, members, n)
-    return g.adjacency
-
-
 def recognize(cx: Complex, members: frozenset[str], _memo: dict | None = None):
     """Reconstruct a molecule certificate for a closed subset.
 
@@ -498,7 +460,7 @@ def recognize(cx: Complex, members: frozenset[str], _memo: dict | None = None):
     failure is inconclusive).  Complete for subsets of dimension <= 3 in a
     complex whose cells are themselves well-formed.
     """
-    from .orders import frame_dimension
+    from .orders import _lex_topo, frame_dimension, maxd
 
     if _memo is None:
         _memo = {}
@@ -516,10 +478,8 @@ def recognize(cx: Complex, members: frozenset[str], _memo: dict | None = None):
     n = cx.dim_of_subset(members)
     inconclusive = n >= 4
     frd = frame_dimension(cx, members)
-    _memo[members] = None  # cut cycles while searching
     for k in range(max(frd, 0), n):
-        adj = _maxd_adj(cx, members, k)
-        order = _lex_kahn(adj)
+        order = _lex_topo(maxd(cx, members, k).adjacency)
         if order is None:
             continue
         highs = [x for x in order if x in maximal and cx.dim_of(x) > k]
@@ -533,12 +493,7 @@ def recognize(cx: Complex, members: frozenset[str], _memo: dict | None = None):
                     continue
                 if u1_members == members or u2_members == members:
                     continue
-                if u1_members | u2_members != members:
-                    continue
-                shared = u1_members & u2_members
-                if cx.boundary(u1_members, k, PLUS) != shared:
-                    continue
-                if cx.boundary(u2_members, k, MINUS) != shared:
+                if not _is_split(cx, members, u1_members, u2_members, k):
                     continue
                 left = recognize(cx, u1_members, _memo)
                 if left is None or left is UNKNOWN:
@@ -554,6 +509,14 @@ def recognize(cx: Complex, members: frozenset[str], _memo: dict | None = None):
     res = UNKNOWN if inconclusive else None
     _memo[members] = res
     return res
+
+
+def _is_split(cx: Complex, members: frozenset[str], left: frozenset[str], right: frozenset[str], k: int) -> bool:
+    """Whether ``members`` is ``left`` pasted to ``right`` along their shared k-boundary."""
+    if left | right != members:
+        return False
+    shared = left & right
+    return cx.boundary(left, k, PLUS) == shared and cx.boundary(right, k, MINUS) == shared
 
 
 def _split_candidates(cx, members, highs, i, k, bminus, bplus):
@@ -625,12 +588,7 @@ def certificate_ok(u: Molecule) -> bool:
     if isinstance(cert, Atom):
         return cert.top in u.members and cx.closure([cert.top]) == u.members
     left, right = cert.left, cert.right
-    if left.members | right.members != u.members:
-        return False
-    shared = left.members & right.members
-    if cx.boundary(left.members, cert.k, PLUS) != shared:
-        return False
-    if cx.boundary(right.members, cert.k, MINUS) != shared:
+    if not _is_split(cx, u.members, left.members, right.members, cert.k):
         return False
     return certificate_ok(left) and certificate_ok(right)
 

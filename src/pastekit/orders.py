@@ -14,6 +14,71 @@ from .ogp import Complex, MINUS, PLUS
 from . import molecules as mol
 
 
+def _lex_topo(adj: dict[str, tuple[str, ...]]) -> list[str] | None:
+    """Topological order with lexicographically-least ready vertex, or None."""
+    indeg = {v: 0 for v in adj}
+    for v, ws in adj.items():
+        for w in ws:
+            indeg[w] += 1
+    ready = [v for v, d in indeg.items() if d == 0]
+    heapq.heapify(ready)
+    out = []
+    while ready:
+        v = heapq.heappop(ready)
+        out.append(v)
+        for w in adj[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                heapq.heappush(ready, w)
+    return out if len(out) == len(adj) else None
+
+
+def _find_cycle(adj: dict[str, tuple[str, ...]]) -> tuple[str, ...] | None:
+    """A directed cycle of an adjacency map, first vertex repeated last, or None."""
+    color: dict[str, int] = {}
+    parent: dict[str, str] = {}
+    for root in adj:
+        if color.get(root):
+            continue
+        stack = [(root, iter(adj[root]))]
+        color[root] = 1
+        while stack:
+            v, it = stack[-1]
+            advanced = False
+            for w in it:
+                if color.get(w, 0) == 0:
+                    color[w] = 1
+                    parent[w] = v
+                    stack.append((w, iter(adj[w])))
+                    advanced = True
+                    break
+                if color[w] == 1:
+                    cycle = [w, v]
+                    x = v
+                    while x != w:
+                        x = parent[x]
+                        cycle.append(x)
+                    cycle.reverse()
+                    return tuple(cycle)
+            if not advanced:
+                color[v] = 2
+                stack.pop()
+    return None
+
+
+def _reachable(adj: dict[str, tuple[str, ...]], src: str) -> frozenset[str]:
+    """Vertices reachable from ``src``; ``src`` itself only when it has a loop."""
+    seen = {src}
+    stack = [src]
+    while stack:
+        v = stack.pop()
+        for w in adj.get(v, ()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return frozenset(seen - {src}) | (frozenset({src}) if src in adj.get(src, ()) else frozenset())
+
+
 @dataclass(frozen=True)
 class MaxdGraph:
     """Bipartite directed graph between low elements and high maximal cells."""
@@ -24,50 +89,14 @@ class MaxdGraph:
     adjacency: dict[str, tuple[str, ...]]
 
     def find_cycle(self) -> tuple[str, ...] | None:
-        color: dict[str, int] = {}
-        parent: dict[str, str] = {}
-        for root in self.adjacency:
-            if color.get(root):
-                continue
-            stack = [(root, iter(self.adjacency[root]))]
-            color[root] = 1
-            while stack:
-                v, it = stack[-1]
-                advanced = False
-                for w in it:
-                    if color.get(w, 0) == 0:
-                        color[w] = 1
-                        parent[w] = v
-                        stack.append((w, iter(self.adjacency[w])))
-                        advanced = True
-                        break
-                    if color[w] == 1:
-                        cycle = [w, v]
-                        x = v
-                        while x != w:
-                            x = parent[x]
-                            cycle.append(x)
-                        cycle.reverse()
-                        return tuple(cycle)
-                if not advanced:
-                    color[v] = 2
-                    stack.pop()
-        return None
+        return _find_cycle(self.adjacency)
 
     @property
     def acyclic(self) -> bool:
         return self.find_cycle() is None
 
     def reachable(self, src: str) -> frozenset[str]:
-        seen = {src}
-        stack = [src]
-        while stack:
-            v = stack.pop()
-            for w in self.adjacency.get(v, ()):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return frozenset(seen - {src}) | (frozenset({src}) if src in self.adjacency.get(src, ()) else frozenset())
+        return _reachable(self.adjacency, src)
 
 
 @dataclass(frozen=True)
@@ -154,24 +183,6 @@ def frame_acyclic(
     return FrameAcyclicityReport(True, checked, truncated)
 
 
-def _lex_topo(adj: dict[str, tuple[str, ...]]) -> list[str] | None:
-    indeg = {v: 0 for v in adj}
-    for v, ws in adj.items():
-        for w in ws:
-            indeg[w] += 1
-    ready = [v for v, d in indeg.items() if d == 0]
-    heapq.heapify(ready)
-    out = []
-    while ready:
-        v = heapq.heappop(ready)
-        out.append(v)
-        for w in adj[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(ready, w)
-    return out if len(out) == len(adj) else None
-
-
 def k_order(u: mol.Molecule, k: int) -> KOrder | None:
     """A deterministic k-order on a molecule, or None if the frame graph loops.
 
@@ -217,12 +228,7 @@ def frame_decomposition(u: mol.Molecule, k: int, order: KOrder) -> list[mol.Mole
     for i in range(len(seq) - 1):
         suffix = cx.closure(seq[i + 1 :]) | cx.boundary(current, k, PLUS)
         first = cx.closure(current - (suffix - cx.boundary(suffix, k, MINUS)))
-        shared = first & suffix
-        if (
-            first | suffix != current
-            or cx.boundary(first, k, PLUS) != shared
-            or cx.boundary(suffix, k, MINUS) != shared
-        ):
+        if not mol._is_split(cx, current, first, suffix, k):
             raise RuntimeError(f"frame decomposition split failed at index {i}")
         got = mol.recognize(cx, first)
         if got is None or got is mol.UNKNOWN:
@@ -263,30 +269,13 @@ def totally_loop_free(cx: Complex, members: frozenset[str] | None = None) -> Loo
     if members is None:
         members = cx.whole()
     adj = cx.oriented_hasse(members)
-    g = MaxdGraph(-2, (), tuple(sorted(members)), adj)
-    cycle = g.find_cycle()
-    if cycle is not None:
-        return LoopFreeReport(False, False, None, None, cycle)
-    reach = {v: g.reachable(v) for v in adj}
-    # unique topological order <=> reachability is total
-    indeg = {v: 0 for v in adj}
-    for v, ws in adj.items():
-        for w in ws:
-            indeg[w] += 1
-    ready = sorted(v for v, d in indeg.items() if d == 0)
-    order: list[str] = []
-    total = True
-    work = list(ready)
-    while work:
-        if len(work) > 1:
-            total = False
-        work.sort()
-        v = work.pop(0)
-        order.append(v)
-        for w in adj[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                work.append(w)
+    order = _lex_topo(adj)
+    if order is None:
+        return LoopFreeReport(False, False, None, None, _find_cycle(adj))
+    reach = {v: _reachable(adj, v) for v in adj}
+    # a topological order is the only one exactly when consecutive vertices
+    # are joined by an edge, i.e. reachability is total
+    total = all(w in adj[v] for v, w in zip(order, order[1:]))
     return LoopFreeReport(True, total, tuple(order) if total else None, reach)
 
 
@@ -346,13 +335,7 @@ def slice_decomposition(u: mol.Molecule, i: mol.Molecule) -> tuple[mol.Molecule,
     below_cells = {x for x in u.members if cx.dim_of(x) == 2} - above_cells
     below = cx.closure(below_cells) | i.members
     above = cx.closure(above_cells) | i.members
-    shared = below & above
-    if (
-        below | above != u.members
-        or shared != i.members
-        or cx.boundary(below, 1, PLUS) != i.members
-        or cx.boundary(above, 1, MINUS) != i.members
-    ):
+    if below & above != i.members or not mol._is_split(cx, u.members, below, above, 1):
         raise ValueError("the cut does not slice the molecule")
     lo = mol.recognize(cx, below)
     hi = mol.recognize(cx, above)

@@ -102,9 +102,6 @@ class LabelledComplex:
     def relabelled(self, labels: Mapping[str, str]) -> "LabelledComplex":
         return LabelledComplex(self.shape, labels, self.pairs)
 
-    def generator_elements(self) -> tuple[str, ...]:
-        return tuple(x for x in self.shape.elements() if self.labels[x] != BASEPOINT)
-
 
 def gray_labelled(
     x: LabelledComplex, y: LabelledComplex, sep: str = "⊗", name: str | None = None

@@ -61,9 +61,11 @@ def serialize_complex(cx: Complex, extra: Mapping[str, Any] | None = None) -> by
 
 
 def complex_from_doc(doc: Any) -> tuple[Complex, dict[str, Any]]:
-    if not isinstance(doc, dict) or "elements" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("elements"), list):
         raise ParseError("expected an object with an 'elements' list")
     name = doc.get("name", "complex")
+    if not isinstance(name, str):
+        raise ParseError(f"complex name must be a string, not {name!r}")
     table = {}
     for entry in doc["elements"]:
         try:
@@ -72,8 +74,10 @@ def complex_from_doc(doc: Any) -> tuple[Complex, dict[str, Any]]:
             covers = [(c["id"], c["sign"]) for c in entry.get("covers", [])]
         except (TypeError, KeyError) as exc:
             raise ParseError(f"malformed element entry {entry!r}") from exc
-        if not isinstance(eid, str) or not isinstance(dim, int):
+        if not isinstance(eid, str) or not isinstance(dim, int) or isinstance(dim, bool):
             raise ParseError(f"malformed element entry {entry!r}")
+        if not all(isinstance(t, str) for t, _ in covers):
+            raise ParseError(f"cover ids of {eid!r} must be strings")
         if any(s not in SIGNS for _, s in covers):
             raise ParseError(f"bad sign in covers of {eid!r}")
         if eid in table:

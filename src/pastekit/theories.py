@@ -52,9 +52,6 @@ class Permutation:
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
 
-    def is_identity(self) -> bool:
-        return all(self(i) == i for i in range(1, self.n + 1))
-
     def inverse(self) -> "Permutation":
         out = [0] * self.n
         for i in range(1, self.n + 1):
@@ -299,9 +296,6 @@ class ProPresentation:
                 raise TheoryError(f"{self.name}.{r.name}: sides have different sources")
             if r.lhs.target(sig) != r.rhs.target(sig):
                 raise TheoryError(f"{self.name}.{r.name}: sides have different targets")
-
-
-ProbPresentation = ProPresentation  # a pro presentation with the braided flag set
 
 
 def pro_dual(p: ProPresentation, rename: Mapping[str, str] | None = None) -> ProPresentation:

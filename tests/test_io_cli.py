@@ -9,10 +9,12 @@ from pastekit.render import export_dot, export_dot_maxd, export_svg_2diagram
 from pastekit.serialize import (
     ParseError,
     parse_complex,
+    parse_diag_presentation,
     parse_expr,
     parse_labelled,
     parse_presentation,
     serialize_complex,
+    serialize_diag_presentation,
     serialize_expr,
     serialize_labelled,
     serialize_presentation,
@@ -87,6 +89,12 @@ def test_presentation_roundtrip():
     again = parse_presentation(blob)
     assert serialize_presentation(again) == blob
     assert again.generators == mon.generators
+
+
+@pytest.mark.parametrize("name", ["MonComplex", "coMonComplex"])
+def test_diag_presentation_roundtrip(name):
+    blob = serialize_diag_presentation(builtin(name))
+    assert serialize_diag_presentation(parse_diag_presentation(blob)) == blob
 
 
 def test_labelled_roundtrip():
@@ -172,6 +180,32 @@ def test_cli_parse_error(tmp_path):
     path.write_text("{")
     assert main(["validate", str(path)]) == 2
     assert main(["validate", str(tmp_path / "missing.json")]) == 2
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"name": "bad", "elements": [
+            {"id": "v", "dim": 0, "covers": []},
+            {"id": "e", "dim": 1, "covers": [{"id": ["v"], "sign": "-"}]},
+        ]},
+        {"name": "bad", "elements": [
+            {"id": "v", "dim": 0, "covers": []},
+            {"id": "e", "dim": True, "covers": [{"id": "v", "sign": "-"}]},
+        ]},
+        {"name": 5, "elements": [{"id": "v", "dim": 0, "covers": []}]},
+        {"name": "bad", "elements": 5},
+    ],
+    ids=["list-cover-id", "bool-dim", "int-name", "int-elements"],
+)
+def test_cli_rejects_mistyped_fields(tmp_path, capsys, doc):
+    with pytest.raises(ParseError):
+        parse_complex(json.dumps(doc))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_cli_usage_error():
