@@ -1,11 +1,13 @@
 """Molecules: composable diagram shapes inside oriented graded posets.
 
-A molecule handle pairs a closed subset with a certificate: either the
-subset has a greatest element (an atom) or it splits as two molecules glued
-along a matching k-boundary.  Constructors (`globe`, `paste`, `cell_to`,
-`compos`, `substitute`) build certificates as they go; `recognize` rebuilds
-one from a bare closed subset by exhaustive split search, which is complete
-up to dimension 3.
+A molecule handle pairs a closed subset with a certificate: a tree whose
+leaves are atoms, named by the id of their greatest element, and whose nodes
+paste two subtrees along a matching k-boundary.  Certificates hold atom ids
+only; the member set of a node is derived from them (the closure of an
+atom's top, the union of a pasting's halves).  Constructors (`globe`,
+`paste`, `cell_to`, `compos`, `substitute`) build certificates as they go;
+`recognize` rebuilds one from a bare closed subset by exhaustive split
+search, which is complete up to dimension 3.
 
 `paste`, `cell_to` and `substitute` share one gluing step: keep a subset of
 each side, identify right elements with left ones along a boundary
@@ -47,9 +49,15 @@ class Atom:
 
 @dataclass(frozen=True)
 class Pasting:
+    """Certificate node: ``left`` pasted to ``right`` along their k-boundary.
+
+    The halves are certificates over the same atom ids, not molecule
+    handles; their member sets are derived by `certificate_ok`.
+    """
+
     k: int
-    left: "Molecule"
-    right: "Molecule"
+    left: "Atom | Pasting"
+    right: "Atom | Pasting"
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,9 +156,13 @@ def u_cell(n: int, m: int) -> Molecule:
 
 
 def _fingerprints(cx: Complex, members: frozenset[str]) -> dict[str, tuple]:
-    """Iteratively refined structural invariants, used to prune iso search."""
+    """Structural invariants refined until the partition they induce is stable.
+
+    Each round refines the last, so an unchanged class count means an
+    unchanged partition.  Isomorphic subsets get equal codes round for round.
+    """
     fp = {x: (cx.dim_of(x),) for x in members}
-    for _ in range(len(members).bit_length() + 2):
+    while True:
         nxt = {}
         for x in members:
             down = sorted((s, fp[t]) for t, s in cx.covers(x) if t in members)
@@ -158,72 +170,9 @@ def _fingerprints(cx: Complex, members: frozenset[str]) -> dict[str, tuple]:
             nxt[x] = (fp[x], tuple(down), tuple(up))
         # re-encode to keep the tuples from growing without bound
         codes = {v: i for i, v in enumerate(sorted(set(nxt.values())))}
-        new_fp = {x: (cx.dim_of(x), codes[nxt[x]]) for x in members}
-        if new_fp == fp:
-            break
-        fp = new_fp
-    return fp
-
-
-def _iso_search(
-    acx: Complex, a: frozenset[str], bcx: Complex, b: frozenset[str], want_all: bool
-) -> list[dict[str, str]]:
-    if len(a) != len(b):
-        return []
-    fpa = _fingerprints(acx, a)
-    fpb = _fingerprints(bcx, b)
-    if sorted(fpa.values()) != sorted(fpb.values()):
-        return []
-    by_fp: dict[tuple, list[str]] = {}
-    for y in sorted(b):
-        by_fp.setdefault(fpb[y], []).append(y)
-    # match from the top dimension down so covers of matched elements are
-    # constrained early
-    order = sorted(a, key=lambda x: (-acx.dim_of(x), x))
-    found: list[dict[str, str]] = []
-
-    def compatible(x: str, y: str, fwd: dict[str, str]) -> bool:
-        xcov = {(t, s) for t, s in acx.covers(x) if t in a}
-        ycov = {(t, s) for t, s in bcx.covers(y) if t in b}
-        if len(xcov) != len(ycov):
-            return False
-        for t, s in xcov:
-            if t in fwd:
-                if (fwd[t], s) not in ycov:
-                    return False
-        # signed cover multiset by fingerprint must agree
-        xm = sorted((s, fpa[t]) for t, s in xcov)
-        ym = sorted((s, fpb[t]) for t, s in ycov)
-        return xm == ym
-
-    def extend(i: int, fwd: dict[str, str], used: set[str]) -> bool:
-        if i == len(order):
-            found.append(dict(fwd))
-            return not want_all
-        x = order[i]
-        for y in by_fp.get(fpa[x], ()):
-            if y in used or not compatible(x, y, fwd):
-                continue
-            fwd[x] = y
-            used.add(y)
-            if extend(i + 1, fwd, used):
-                return True
-            del fwd[x]
-            used.discard(y)
-        return False
-
-    extend(0, {}, set())
-    # the search matches covers downward only; verify signed covers fully
-    good = []
-    for iso in found:
-        ok = all(
-            {(iso[t], s) for t, s in acx.covers(x) if t in a}
-            == {(t, s) for t, s in bcx.covers(iso[x]) if t in b}
-            for x in a
-        )
-        if ok:
-            good.append(iso)
-    return good
+        if len(codes) == len(set(fp.values())):
+            return fp
+        fp = {x: (cx.dim_of(x), codes[nxt[x]]) for x in members}
 
 
 def unique_iso(
@@ -238,15 +187,52 @@ def unique_iso(
     """
     acx, a = (u.complex, u.members) if isinstance(u, Molecule) else u
     bcx, b = (v.complex, v.members) if isinstance(v, Molecule) else v
-    isos = _iso_search(acx, a, bcx, b, want_all=True)
-    if not isos:
+    if len(a) != len(b):
         return None
-    if len(isos) > 1:
+    fpa = _fingerprints(acx, a)
+    fpb = _fingerprints(bcx, b)
+    if sorted(fpa.values()) != sorted(fpb.values()):
+        return None
+    by_fp: dict[tuple, list[str]] = {}
+    for y in sorted(b):
+        by_fp.setdefault(fpb[y], []).append(y)
+    # match from the top dimension down, so each element's cofaces are
+    # matched before it
+    order = sorted(a, key=lambda x: (-acx.dim_of(x), x))
+    found: list[dict[str, str]] = []
+
+    def fits(x: str, y: str, fwd: dict[str, str]) -> bool:
+        # every signed cover is verified once, when its lower element is matched
+        return {(fwd[z], s) for z, s in acx.cofaces(x) if z in a} == {
+            (z, s) for z, s in bcx.cofaces(y) if z in b
+        }
+
+    def extend(i: int, fwd: dict[str, str], used: set[str]) -> bool:
+        """Extend ``fwd`` from ``order[i]``; True once a second isomorphism is found."""
+        if i == len(order):
+            found.append(dict(fwd))
+            return len(found) > 1
+        x = order[i]
+        for y in by_fp.get(fpa[x], ()):
+            if y in used or not fits(x, y, fwd):
+                continue
+            fwd[x] = y
+            used.add(y)
+            if extend(i + 1, fwd, used):
+                return True
+            del fwd[x]
+            used.discard(y)
+        return False
+
+    extend(0, {}, set())
+    if not found:
+        return None
+    if len(found) > 1:
         raise RuntimeError(
             f"molecule isomorphism is not unique between {acx.name} and {bcx.name}; "
             "inputs are not regular molecules"
         )
-    return isos[0]
+    return found[0]
 
 
 # -- gluing constructors -------------------------------------------------------
@@ -320,19 +306,14 @@ def paste(u1: Molecule, u2: Molecule, k: int, name: str | None = None) -> Molecu
         u1.complex, u1.members, u2.complex, u2.members, {y: x for x, y in iso.items()}
     )
     cx = Complex(name or f"({u1.complex.name}#{k}{u2.complex.name})", table)
-    left = _remap(u1, left_map, cx)
-    right = _remap(u2, right_map, cx)
-    return Molecule(cx, cx.whole(), Pasting(k, left, right), left_map, right_map)
+    cert = Pasting(k, _rename(u1.certificate, left_map), _rename(u2.certificate, right_map))
+    return Molecule(cx, cx.whole(), cert, left_map, right_map)
 
 
-def _remap(u: Molecule, mapping: Mapping[str, str], cx: Complex) -> Molecule:
-    members = frozenset(mapping[x] for x in u.members)
-    cert = u.certificate
+def _rename(cert: Atom | Pasting, mapping: Mapping[str, str]) -> Atom | Pasting:
     if isinstance(cert, Atom):
-        new_cert: Atom | Pasting = Atom(mapping[cert.top])
-    else:
-        new_cert = Pasting(cert.k, _remap(cert.left, mapping, cx), _remap(cert.right, mapping, cx))
-    return Molecule(cx, members, new_cert)
+        return Atom(mapping[cert.top])
+    return Pasting(cert.k, _rename(cert.left, mapping), _rename(cert.right, mapping))
 
 
 def cell_to(u: Molecule, v: Molecule, name: str | None = None, top: str = "top") -> Molecule:
@@ -503,7 +484,7 @@ def recognize(cx: Complex, members: frozenset[str], _memo: dict | None = None):
                 if right is None or right is UNKNOWN:
                     inconclusive = inconclusive or right is UNKNOWN
                     continue
-                res = Molecule(cx, members, Pasting(k, left, right))
+                res = Molecule(cx, members, Pasting(k, left.certificate, right.certificate))
                 _memo[members] = res
                 return res
     res = UNKNOWN if inconclusive else None
@@ -532,7 +513,7 @@ def enumerate_molecules(cx: Complex, max_count: int = 10_000) -> tuple[list[Mole
     Deduplicated by element set; results sorted by (size, ids).  Returns the
     list and a flag marking whether the budget truncated the enumeration.
     """
-    pool: dict[frozenset[str], Molecule] = {}
+    pool: dict[frozenset[str], Atom | Pasting] = {}
     by_bminus: dict[tuple[int, frozenset[str]], list[frozenset[str]]] = {}
     by_bplus: dict[tuple[int, frozenset[str]], list[frozenset[str]]] = {}
     top = cx.dim
@@ -544,64 +525,71 @@ def enumerate_molecules(cx: Complex, max_count: int = 10_000) -> tuple[list[Mole
     work: list[frozenset[str]] = []
     truncated = False
 
-    def add(members: frozenset[str], mol: Molecule) -> None:
+    def add(members: frozenset[str], cert: Atom | Pasting) -> None:
         nonlocal truncated
         if members in pool:
             return
         if len(pool) >= max_count:
             truncated = True
             return
-        pool[members] = mol
+        pool[members] = cert
         work.append(members)
         for k, bm, bp in boundaries(members):
             by_bminus.setdefault((k, bm), []).append(members)
             by_bplus.setdefault((k, bp), []).append(members)
 
     for x in cx.elements():
-        add(cx.closure([x]), Molecule(cx, cx.closure([x]), Atom(x)))
+        add(cx.closure([x]), Atom(x))
     while work and not truncated:
         m = work.pop()
-        mol = pool[m]
+        cert = pool[m]
         for k, bm, bp in boundaries(m):
             for other in list(by_bminus.get((k, bp), ())):
                 if other & m == bp:
                     joined = other | m
                     if joined != m and joined != other:
-                        add(joined, Molecule(cx, joined, Pasting(k, mol, pool[other])))
+                        add(joined, Pasting(k, cert, pool[other]))
             for other in list(by_bplus.get((k, bm), ())):
                 if other & m == bm:
                     joined = other | m
                     if joined != m and joined != other:
-                        add(joined, Molecule(cx, joined, Pasting(k, pool[other], mol)))
-    out = sorted(pool.values(), key=lambda h: (len(h.members), tuple(sorted(h.members))))
-    return out, truncated
+                        add(joined, Pasting(k, pool[other], cert))
+    out = sorted(pool, key=lambda m: (len(m), tuple(sorted(m))))
+    return [Molecule(cx, m, pool[m]) for m in out], truncated
 
 
 def certificate_ok(u: Molecule) -> bool:
-    """Recursively verify a handle's certificate against its subset.
+    """Verify a handle's certificate against its subset.
 
-    An atom certificate must name a greatest element; a pasting certificate's
-    halves must cover the subset and meet exactly in the matched boundary.
+    Member sets are derived bottom-up: an atom certifies the closure of its
+    top, and a pasting node the union of its halves, provided they meet
+    exactly in the matched k-boundary.  The root must certify ``u.members``.
     """
     cx = u.complex
-    cert = u.certificate
-    if isinstance(cert, Atom):
-        return cert.top in u.members and cx.closure([cert.top]) == u.members
-    left, right = cert.left, cert.right
-    if not _is_split(cx, u.members, left.members, right.members, cert.k):
-        return False
-    return certificate_ok(left) and certificate_ok(right)
+
+    def certified(cert: Atom | Pasting) -> frozenset[str] | None:
+        if isinstance(cert, Atom):
+            return cx.closure([cert.top]) if cert.top in cx else None
+        left, right = certified(cert.left), certified(cert.right)
+        if left is None or right is None or not _is_split(cx, left | right, left, right, cert.k):
+            return None
+        return left | right
+
+    return certified(u.certificate) == u.members
 
 
 def certificate_json(u: Molecule) -> dict:
     """Serialize a certificate tree (atoms and pasting nodes)."""
-    cert = u.certificate
-    if isinstance(cert, Atom):
-        return {"atom": cert.top}
-    return {
-        "paste": {
-            "k": cert.k,
-            "left": certificate_json(cert.left),
-            "right": certificate_json(cert.right),
+
+    def doc(cert: Atom | Pasting) -> dict:
+        if isinstance(cert, Atom):
+            return {"atom": cert.top}
+        return {
+            "paste": {
+                "k": cert.k,
+                "left": doc(cert.left),
+                "right": doc(cert.right),
+            }
         }
-    }
+
+    return doc(u.certificate)

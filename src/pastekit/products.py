@@ -1,8 +1,10 @@
 """Gray products of complexes, labelled complexes, and smash collapse.
 
 The Gray product is the cartesian product of the underlying posets with a
-parity twist on second-factor orientations.  Labels ride along as pairs;
-collapsing the pairs that touch a basepoint gives the smash product at the
+parity twist on second-factor orientations.  The product of regular
+complexes is regular, so the factors are validated and the larger,
+higher-dimensional product is not.  Labels ride along as pairs; collapsing
+the pairs that touch a basepoint gives the smash product at the
 presentation level.
 """
 from __future__ import annotations
@@ -23,15 +25,24 @@ def pair_id(x: str, y: str, sep: str = "⊗") -> str:
     return f"{x}{sep}{y}"
 
 
-def gray_product(p: Complex, q: Complex, sep: str = "⊗", name: str | None = None, check: bool = True) -> Complex:
+def gray_product(p: Complex, q: Complex, sep: str = "⊗", name: str | None = None) -> Complex:
     """Cartesian product of the posets with the sign twist on the second factor.
 
     A cover in the first coordinate keeps its sign; a cover in the second
     flips its sign exactly when the first coordinate has odd dimension.  The
-    output is validated (it is always a regular complex when the inputs are).
+    Gray product of regular complexes is regular, so each factor is validated
+    and the product is not; an invalid factor raises `ProductError` naming it
+    and its failing elements.
     """
     if any(sep in x for x in p.elements()) or any(sep in y for y in q.elements()):
         raise ProductError(f"separator {sep!r} collides with an element id; pick another")
+    for factor in (p, q):
+        report = validate_complex(factor)
+        if not report.passed:
+            raise ProductError(
+                f"gray product factor {factor.name} failed validation: "
+                f"{[c.element for c in report.failures()]}"
+            )
     table: dict[str, tuple[int, list[tuple[str, str]]]] = {}
     for x in p.elements():
         dx = p.dim_of(x)
@@ -42,15 +53,7 @@ def gray_product(p: Complex, q: Complex, sep: str = "⊗", name: str | None = No
                 (pair_id(x, t, sep), flip(s) if twist else s) for t, s in q.covers(y)
             ]
             table[pair_id(x, y, sep)] = (dx + q.dim_of(y), cov)
-    out = Complex(name or f"{p.name}⊗{q.name}", table)
-    if check:
-        report = validate_complex(out)
-        if not report.passed:
-            raise ProductError(
-                f"gray product of {p.name} and {q.name} failed validation: "
-                f"{[c.element for c in report.failures()]}"
-            )
-    return out
+    return Complex(name or f"{p.name}⊗{q.name}", table)
 
 
 def gray_projections(

@@ -84,6 +84,10 @@ def complex_from_doc(doc: Any) -> tuple[Complex, dict[str, Any]]:
             raise ParseError(f"duplicate element id {eid!r}")
         table[eid] = (dim, covers)
     extra = {k: doc[k] for k in ("comment", "names", "labels") if k in doc}
+    for key in ("names", "labels"):
+        field = extra.get(key, {})
+        if not isinstance(field, dict) or not all(isinstance(v, str) for v in field.values()):
+            raise ParseError(f"{key!r} must be an object mapping strings to strings")
     return Complex(name, table), extra
 
 

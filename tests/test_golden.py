@@ -5,7 +5,8 @@ build (``left/x``, ``right/y``), order its covers and record origin maps and
 a certificate.  These sha256 digests pin all of that on the shipped
 fixtures, a fixed-seed corpus of random molecules, and the substitution
 inside power's collapse, so a change to the gluing step cannot rename,
-reorder or re-certify anything unnoticed.
+reorder or re-certify anything unnoticed.  Gray products of the test
+factors and the Mon∧Mon smash presentation are pinned the same way.
 """
 import hashlib
 import json
@@ -14,14 +15,18 @@ import random
 from conftest import random_molecule
 from pastekit import (
     Molecule,
+    builtin,
     certificate_json,
     check_sim_substitution,
+    globe,
     globe_molecule,
+    gray_product,
     interval_chain,
+    presentation_of_smash,
     u_cell,
 )
 from pastekit.fixtures import fixture_files, frob, power
-from pastekit.serialize import serialize_complex
+from pastekit.serialize import serialize_complex, serialize_diag_presentation
 
 
 def digest(u: Molecule) -> str:
@@ -88,3 +93,32 @@ def test_power_collapse_digest():
     )
     assert report.collapsed is not None
     assert digest(report.collapsed) == "8077458447f76135532d5b17d9d6607a04423adbf19e7a1e927c2f408ffa4470"
+
+
+GRAY_DIGESTS = {
+    ("O1", "O1"): "44bf04e881c254d9cc5854d4fd8ecf1fb88fc75c39485a64fdc101a9b31deacd",
+    ("O1", "O2"): "b8191db606c5a6cfc9d9cc3f74b76cbcc7e2a0541a05015d0e7fff763174a1c4",
+    ("O1", "U21"): "b421b180922c86858b6b74fc7fcfaf20c851afcd3ec2b768b621bc3fb28f673c",
+    ("O2", "O1"): "3ca5c89afa550b6a37e8a1948129cfeba218d1f48b92a7e9189dbe28cc151539",
+    ("O2", "O2"): "483511b07e1b8cd57da49716c8ba943a3fccf0c6a7a6a58eb1c1c0070665b117",
+    ("O2", "U21"): "a66d03c910aba8af20736cc0bce6a0dc4d587e8d654db9399cfd967ab1c039c3",
+    ("U21", "O1"): "12190455da73b63b2bd689aeced472d1b2e2be59dc8b3cff68588d33cfbcc459",
+    ("U21", "O2"): "e946be3a4435036c845a6d6fb5af00c1ac14a5a783703e546efc307ed7e17e08",
+    ("U21", "U21"): "9fe179169f1bc6a29fe0be39207ef35cfe6fc75a011513b6ce53020859e70e38",
+}
+
+
+def test_gray_product_digests():
+    factors = {"O1": globe(1), "O2": globe(2), "U21": u_cell(2, 1).as_complex("U21")}
+    got = {
+        (p, q): hashlib.sha256(serialize_complex(gray_product(factors[p], factors[q]))).hexdigest()
+        for p in factors
+        for q in factors
+    }
+    assert got == GRAY_DIGESTS
+
+
+def test_mon_smash_presentation_digest():
+    mon = builtin("MonComplex")
+    blob = serialize_diag_presentation(presentation_of_smash(mon, mon))
+    assert hashlib.sha256(blob).hexdigest() == "2365b333d5ffeaedc0729dc3871618dfaadf514ee6df2eecbb5b6247a2cfc711"

@@ -159,20 +159,32 @@ def test_cli_validate(fixture_dir, capsys):
     assert out.strip().endswith("PASS (0 unknown)")
 
 
+# both faces of the 2-cell carry "+", so it has no input face
+BROKEN = {
+    "name": "broken",
+    "elements": [
+        {"id": "0-", "dim": 0, "covers": []},
+        {"id": "0+", "dim": 0, "covers": []},
+        {"id": "1-", "dim": 1, "covers": [{"id": "0-", "sign": "-"}, {"id": "0+", "sign": "+"}]},
+        {"id": "1+", "dim": 1, "covers": [{"id": "0-", "sign": "-"}, {"id": "0+", "sign": "+"}]},
+        {"id": "2", "dim": 2, "covers": [{"id": "1-", "sign": "+"}, {"id": "1+", "sign": "+"}]},
+    ],
+}
+
+
 def test_cli_validate_failure(tmp_path, capsys):
-    doc = {
-        "name": "broken",
-        "elements": [
-            {"id": "0-", "dim": 0, "covers": []},
-            {"id": "0+", "dim": 0, "covers": []},
-            {"id": "1-", "dim": 1, "covers": [{"id": "0-", "sign": "-"}, {"id": "0+", "sign": "+"}]},
-            {"id": "1+", "dim": 1, "covers": [{"id": "0-", "sign": "-"}, {"id": "0+", "sign": "+"}]},
-            {"id": "2", "dim": 2, "covers": [{"id": "1-", "sign": "+"}, {"id": "1+", "sign": "+"}]},
-        ],
-    }
     path = tmp_path / "broken.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(BROKEN))
     assert main(["validate", str(path)]) == 1
+
+
+def test_cli_gray_rejects_invalid_factor(fixture_dir, tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(BROKEN))
+    assert main(["gray", str(path), str(fixture_dir / "o1.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "factor broken" in captured.err
 
 
 def test_cli_parse_error(tmp_path):
@@ -204,6 +216,28 @@ def test_cli_rejects_mistyped_fields(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "base, field, value, command",
+    [
+        ("o1.json", "labels", 5, ["smash", "{f}", "{f}"]),
+        ("o1.json", "labels", 5, ["export", "{f}", "--format", "svg"]),
+        ("o1.json", "labels", [["0-", "x"]], ["smash", "{f}", "{f}"]),
+        ("frob.json", "names", 5, ["interpret", "{f}"]),
+    ],
+    ids=["int-labels-smash", "int-labels-svg", "pair-list-labels", "int-names-interpret"],
+)
+def test_cli_rejects_mistyped_maps(fixture_dir, tmp_path, capsys, base, field, value, command):
+    doc = json.loads((fixture_dir / base).read_bytes())
+    doc[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match=field):
+        parse_complex(path.read_bytes())
+    assert main([arg.format(f=path) for arg in command]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
 

@@ -2,7 +2,9 @@ import pytest
 
 from pastekit import (
     Atom,
+    Complex,
     MINUS,
+    Molecule,
     PLUS,
     Pasting,
     PastingError,
@@ -10,6 +12,7 @@ from pastekit import (
     UNKNOWN,
     cell_to,
     certificate_json,
+    certificate_ok,
     compos,
     enumerate_molecules,
     globe,
@@ -148,6 +151,24 @@ def test_unique_iso_identity_and_stability(rng):
         assert found == {x: relabel[x] for x in u.members}
 
 
+@pytest.mark.parametrize("w", [16, 24])
+def test_paste_along_a_wide_seam(w):
+    # a bounded number of refinement rounds cannot tell the middle wires of
+    # the seam apart; the search must find its one matching without
+    # enumerating the candidates that fail
+    top, bottom = u_cell(3, w), u_cell(w, 3)
+    glued = paste(top, bottom, 1)
+    assert len(glued) == len(top) + len(bottom) - (2 * w + 1) == 2 * w + 13
+    assert certificate_ok(glued)
+
+
+def test_unique_iso_reports_a_second_isomorphism():
+    arrow = [("0-", MINUS), ("0+", PLUS)]
+    cx = Complex("parallel", {"0-": (0, []), "0+": (0, []), "a": (1, arrow), "b": (1, arrow)})
+    with pytest.raises(RuntimeError, match="not unique"):
+        unique_iso((cx, cx.whole()), (cx, cx.whole()))
+
+
 def test_substitute_identity():
     u21 = u_cell(2, 1)
     site = u21.complex.boundary(u21.members, 1, MINUS)
@@ -255,13 +276,24 @@ def test_enumerate_respects_budget():
 
 
 def test_certificates_verify_recursively(rng):
-    from pastekit import certificate_ok
-
     for _ in range(15):
         u = random_molecule(rng, max_elements=30)
         assert certificate_ok(u)
         rebuilt = recognize(u.complex, u.members)
         assert certificate_ok(rebuilt)
+
+
+def test_certificate_ok_rejects_wrong_trees():
+    u = interval_chain(3)
+    cert = u.certificate
+    assert certificate_ok(u)
+    for bad in (
+        Pasting(0, cert.right, cert.left),  # halves in the wrong order
+        Pasting(1, cert.left, cert.right),  # wrong pasting level
+        cert.left,  # certifies a proper subset
+        Atom("ghost"),  # not an element
+    ):
+        assert not certificate_ok(Molecule(u.complex, u.members, bad))
 
 
 def test_paste_associative_at_level_one():

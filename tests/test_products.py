@@ -1,7 +1,10 @@
+import re
+
 import pytest
 
 from pastekit import (
     BASEPOINT,
+    Complex,
     LabelledComplex,
     MINUS,
     PLUS,
@@ -17,7 +20,9 @@ from pastekit import (
     unique_iso,
     validate_complex,
 )
+from pastekit.ogp import flip
 from pastekit.render import _wire_sequence
+from pastekit.serialize import serialize_complex
 
 
 FACTORS = {
@@ -56,6 +61,50 @@ def test_gray_always_validates():
     for p in FACTORS.values():
         for q in FACTORS.values():
             assert validate_complex(gray_product(p, q)).passed
+
+
+def _raw_gray(p: Complex, q: Complex) -> Complex:
+    """Reference: the product table written out directly, never validated."""
+    table = {}
+    for x in p.elements():
+        for y in q.elements():
+            cov = [(f"{t}⊗{y}", s) for t, s in p.covers(x)]
+            cov += [(f"{x}⊗{t}", flip(s) if p.dim_of(x) % 2 else s) for t, s in q.covers(y)]
+            table[f"{x}⊗{y}"] = (p.dim_of(x) + q.dim_of(y), cov)
+    return Complex(f"{p.name}⊗{q.name}", table)
+
+
+def _flip_one_sign(cx: Complex, x: str, i: int) -> Complex:
+    table = {e: (cx.dim_of(e), list(cx.covers(e))) for e in cx.elements()}
+    t, s = table[x][1][i]
+    table[x][1][i] = (t, flip(s))
+    return Complex(f"{cx.name}~{x}.{i}", table)
+
+
+def test_gray_product_matches_unvalidated_reference():
+    # the product of regular complexes is regular, so validating the factors
+    # must reject exactly the products that fail validation themselves
+    broken = [
+        _flip_one_sign(FACTORS["O1"], "1", 0),
+        _flip_one_sign(FACTORS["O2"], "2", 1),
+        _flip_one_sign(FACTORS["O2"], "1-", 0),
+    ]
+    assert not any(validate_complex(b).passed for b in broken)
+    factors = [globe(0), *FACTORS.values(), *broken]
+    rejected = 0
+    for p in factors:
+        for q in factors:
+            raw = _raw_gray(p, q)
+            if validate_complex(raw).passed:
+                g = gray_product(p, q)
+                assert serialize_complex(g) == serialize_complex(raw)
+                assert [g.covers(e) for e in raw.elements()] == [raw.covers(e) for e in raw.elements()]
+            else:
+                rejected += 1
+                named = p if p in broken else q
+                with pytest.raises(ProductError, match=re.escape(f"factor {named.name} failed")):
+                    gray_product(p, q)
+    assert rejected == len(factors) ** 2 - (len(factors) - len(broken)) ** 2
 
 
 def test_gray_associative_up_to_pairing():
