@@ -4,9 +4,10 @@ A normal-form 2-cell is a 2-dimensional closed subset together with an
 admissible ordering of its cells.  A 3-dimensional composite is a step
 sequence: swaps of two adjacent independent cells (interchangers) and
 applications of a 3-cell to a contiguous block (generator steps).  The
-composite assigned to a 3-molecule threads generator steps between the two
-canonical interchanger phases, and equality of composites is decided by
-rebuilding both to a canonical step list.
+precedence of a support (the rank of each cell, and which cells reach
+which) is derived once and passed down.  One loop threads generator steps
+between canonical interchanger phases: for `interpret`, for
+`interpret_atom_in_context`, and for `expr_normalize`, which decides equality.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from typing import Sequence
 
 from .ogp import Complex, MINUS, PLUS
 from . import molecules as mol
-from .orders import KOrder, frame_decomposition, k_order, maxd, normal_order_of_subset
+from .orders import KOrder, _lex_topo, is_k_order, k_order, maxd, normal_order_of_subset
 
 
 class ExpressionError(ValueError):
@@ -66,44 +67,28 @@ class GrayExpr3:
         return len(self.steps)
 
 
-# -- precedence utilities ------------------------------------------------------
+# -- precedence ----------------------------------------------------------------
+
+# The rank of each cell in the normal order of a support, and the elements
+# each cell reaches through the support's level-1 frame graph.
+Precedence = tuple[dict[str, int], dict[str, frozenset[str]]]
 
 
-def _rank(cx: Complex, support: frozenset[str]) -> dict[str, int]:
-    order = normal_order_of_subset(cx, support)
-    return {x: i for i, x in enumerate(order)}
+def _precedence(cx: Complex, support: frozenset[str]) -> Precedence:
+    rank = {x: i for i, x in enumerate(normal_order_of_subset(cx, support))}
+    g = maxd(cx, support, 1)
+    return rank, {x: g.reachable(x) for x in g.high}
 
 
 def inversion_weight(cx: Complex, nf: TwoCellNF) -> int:
     """Pairs listed against the precedence order of the support."""
-    rank = _rank(cx, nf.support)
+    rank, _ = _precedence(cx, nf.support)
     w = 0
     for i in range(len(nf.order)):
         for j in range(i + 1, len(nf.order)):
             if rank[nf.order[j]] < rank[nf.order[i]]:
                 w += 1
     return w
-
-
-def _cell_reach(cx: Complex, support: frozenset[str]) -> dict[str, frozenset[str]]:
-    """Reachability between maximal cells through the level-1 frame graph."""
-    g = maxd(cx, support, 1)
-    return {x: g.reachable(x) for x in g.high}
-
-
-def _independent(reach: dict[str, frozenset[str]], a: str, b: str) -> bool:
-    return b not in reach.get(a, ()) and a not in reach.get(b, ())
-
-
-def _is_1_order(cx: Complex, support: frozenset[str], order: Sequence[str]) -> bool:
-    cells = sorted(x for x in cx.maximal(support) if cx.dim_of(x) == 2)
-    if sorted(order) != cells:
-        return False
-    reach = _cell_reach(cx, support)
-    pos = {x: i for i, x in enumerate(order)}
-    return not any(
-        pos[y] < pos[x] for x in order for y in reach.get(x, ()) if y in pos
-    )
 
 
 # -- expression traversal ------------------------------------------------------
@@ -115,29 +100,33 @@ def _atom_boundary_cells(cx: Complex, atom: str, sign: str) -> tuple[frozenset[s
     return bd, normal_order_of_subset(cx, bd)
 
 
+def _swap(nf: TwoCellNF, step: Interchange, prec: Precedence) -> TwoCellNF:
+    """Validate an interchanger against the precedence of the support and apply it."""
+    rank, reach = prec
+    p = step.pos
+    if not 0 <= p < len(nf.order) - 1:
+        raise ExpressionError(f"interchange position {p} out of range")
+    a, b = nf.order[p], nf.order[p + 1]
+    if step.pair != (a, b):
+        raise ExpressionError(f"interchange pair mismatch at position {p}")
+    if b in reach.get(a, ()) or a in reach.get(b, ()):
+        raise ExpressionError(f"cells {a!r} and {b!r} are not independent")
+    raises_weight = rank[a] < rank[b]
+    if step.direction not in ("fwd", "inv"):
+        raise ExpressionError(f"unknown interchange direction {step.direction!r}")
+    if raises_weight != (step.direction == "fwd"):
+        raise ExpressionError(
+            f"interchange at position {p} mislabelled: swapping {a!r}, {b!r} "
+            f"{'raises' if raises_weight else 'lowers'} the inversion weight"
+        )
+    new_order = nf.order[:p] + (b, a) + nf.order[p + 2 :]
+    return TwoCellNF(nf.support, new_order)
+
+
 def apply_step(cx: Complex, nf: TwoCellNF, step: Step) -> TwoCellNF:
     """Validate one step against a normal form and produce the next one."""
     if isinstance(step, Interchange):
-        p = step.pos
-        if not 0 <= p < len(nf.order) - 1:
-            raise ExpressionError(f"interchange position {p} out of range")
-        a, b = nf.order[p], nf.order[p + 1]
-        if step.pair != (a, b):
-            raise ExpressionError(f"interchange pair mismatch at position {p}")
-        reach = _cell_reach(cx, nf.support)
-        if not _independent(reach, a, b):
-            raise ExpressionError(f"cells {a!r} and {b!r} are not independent")
-        rank = _rank(cx, nf.support)
-        raises_weight = rank[a] < rank[b]
-        if step.direction not in ("fwd", "inv"):
-            raise ExpressionError(f"unknown interchange direction {step.direction!r}")
-        if raises_weight != (step.direction == "fwd"):
-            raise ExpressionError(
-                f"interchange at position {p} mislabelled: swapping {a!r}, {b!r} "
-                f"{'raises' if raises_weight else 'lowers'} the inversion weight"
-            )
-        new_order = nf.order[:p] + (b, a) + nf.order[p + 2 :]
-        return TwoCellNF(nf.support, new_order)
+        return _swap(nf, step, _precedence(cx, nf.support))
     if cx.dim_of(step.atom) != 3:
         raise ExpressionError(f"{step.atom!r} is not a 3-cell")
     bm, bm_order = _atom_boundary_cells(cx, step.atom, MINUS)
@@ -157,8 +146,15 @@ def apply_step(cx: Complex, nf: TwoCellNF, step: Step) -> TwoCellNF:
 def walk(e: GrayExpr3) -> list[TwoCellNF]:
     """All normal forms along an expression, validating every step."""
     nfs = [e.source]
+    prec = None  # of the current support, shared by a run of interchangers
     for step in e.steps:
-        nfs.append(apply_step(e.complex, nfs[-1], step))
+        if isinstance(step, Interchange):
+            if prec is None:
+                prec = _precedence(e.complex, nfs[-1].support)
+            nfs.append(_swap(nfs[-1], step, prec))
+        else:
+            prec = None
+            nfs.append(apply_step(e.complex, nfs[-1], step))
     return nfs
 
 
@@ -192,22 +188,18 @@ def _to_normal_swaps(rank: dict[str, int], order: tuple[str, ...]) -> list[tuple
     return swaps
 
 
-def interchanger_path(
-    cx: Complex, support: frozenset[str], frm: Sequence[str], to: Sequence[str]
-) -> tuple[Step, ...]:
-    """The canonical interchanger composite between two orders on one support.
-
-    Both orders are sorted toward the precedence order; the second path is
-    then reversed.  Any two step lists produced this way between the same
-    orders are identical.
-    """
+def _path(prec: Precedence, frm: Sequence[str], to: Sequence[str]) -> tuple[Step, ...]:
     frm = tuple(frm)
     to = tuple(to)
     if sorted(frm) != sorted(to):
         raise ExpressionError("orders do not contain the same cells")
-    if not _is_1_order(cx, support, frm) or not _is_1_order(cx, support, to):
-        raise ExpressionError("input orders are not admissible")
-    rank = _rank(cx, support)
+    rank, reach = prec
+    for order in (frm, to):
+        pos = {x: i for i, x in enumerate(order)}
+        if sorted(order) != sorted(rank) or any(
+            pos[y] < pos[x] for x in order for y in reach.get(x, ()) if y in pos
+        ):
+            raise ExpressionError("input orders are not admissible")
     down = _to_normal_swaps(rank, frm)
     back = _to_normal_swaps(rank, to)
     # both tails run to the sorted order; identical trailing swaps cancel
@@ -226,39 +218,81 @@ def interchanger_path(
     return tuple(steps)
 
 
+def interchanger_path(
+    cx: Complex, support: frozenset[str], frm: Sequence[str], to: Sequence[str]
+) -> tuple[Step, ...]:
+    """The canonical interchanger composite between two orders on one support.
+
+    Both orders are sorted toward the precedence order; the second path is
+    then reversed.  Any two step lists produced this way between the same
+    orders are identical.
+    """
+    return _path(_precedence(cx, support), frm, to)
+
+
+# -- threading generator steps ---------------------------------------------------
+
+
+def _thread(
+    cx: Complex,
+    source: TwoCellNF,
+    atoms: Sequence[str],
+    target: TwoCellNF,
+    context: Sequence[str] | None = None,
+) -> tuple[Step, ...]:
+    """Apply ``atoms`` in turn from ``source``, then interchange onto ``target``.
+
+    Before each generator step the canonical interchanger path makes the
+    atom's input block contiguous: at the latest position the precedence
+    allows or, given a ``context``, between the cells it lists before and
+    after the atom's id.
+    """
+    steps: list[Step] = []
+    cur = source
+    for atom in atoms:
+        prec = _precedence(cx, cur.support)
+        _, bm_order = _atom_boundary_cells(cx, atom, MINUS)
+        block = frozenset(bm_order)
+        if not block <= set(cur.order):
+            raise ExpressionError(f"input cells of {atom!r} are not available")
+        if context is None:
+            _, reach = prec
+            rest = tuple(c for c in cur.order if c not in block)
+            p_min, p_max = 0, len(rest)
+            for idx, c in enumerate(rest):
+                if any(b in reach.get(c, ()) for b in block):
+                    p_min = max(p_min, idx + 1)
+                if any(c in reach.get(b, ()) for b in block):
+                    p_max = min(p_max, idx)
+            if p_min > p_max:
+                raise ExpressionError("block cannot be made contiguous in any admissible order")
+            pre, post = rest[:p_max], rest[p_max:]
+        else:
+            hole = context.index(atom)
+            pre, post = tuple(context[:hole]), tuple(context[hole + 1 :])
+        ctx = pre + bm_order + post
+        steps.extend(_path(prec, cur.order, ctx))
+        app = GenApp(atom, pre, post)
+        cur = apply_step(cx, TwoCellNF(cur.support, ctx), app)
+        steps.append(app)
+    if cur.support != target.support:
+        raise ExpressionError("interpretation did not land on the output boundary")
+    steps.extend(interchanger_path(cx, target.support, cur.order, target.order))
+    return tuple(steps)
+
+
+def _interpretation(
+    u: mol.Molecule, atoms: Sequence[str], context: Sequence[str] | None = None
+) -> GrayExpr3:
+    """Thread ``atoms`` between the canonically ordered 2-boundaries of ``u``."""
+    cx = u.complex
+    bm, bp = (cx.boundary(u.members, 2, sign) for sign in (MINUS, PLUS))
+    source = TwoCellNF(bm, normal_order_of_subset(cx, bm))
+    target = TwoCellNF(bp, normal_order_of_subset(cx, bp))
+    return GrayExpr3(cx, source, _thread(cx, source, atoms, target, context))
+
+
 # -- interpretation of 3-molecules -----------------------------------------------
-
-
-def _hole_position(
-    cx: Complex, support: frozenset[str], order: tuple[str, ...], block: frozenset[str]
-) -> tuple[tuple[str, ...], int]:
-    """Latest position where a contracted block may sit among the other cells."""
-    untouched = tuple(c for c in order if c not in block)
-    reach = _cell_reach(cx, support)
-    p_min = 0
-    p_max = len(untouched)
-    for idx, c in enumerate(untouched):
-        if any(b in reach.get(c, ()) for b in block):
-            p_min = max(p_min, idx + 1)
-        if any(c in reach.get(b, ()) for b in block):
-            p_max = min(p_max, idx)
-    if p_min > p_max:
-        raise ExpressionError("block cannot be made contiguous in any admissible order")
-    return untouched, p_max
-
-
-def _gen_step(cx: Complex, cur: TwoCellNF, atom: str) -> tuple[tuple[Step, ...], TwoCellNF]:
-    bm, bm_order = _atom_boundary_cells(cx, atom, MINUS)
-    block = frozenset(bm_order)
-    if not block <= set(cur.order):
-        raise ExpressionError(f"input cells of {atom!r} are not available")
-    untouched, p = _hole_position(cx, cur.support, cur.order, block)
-    ctx = untouched[:p] + bm_order + untouched[p:]
-    chi = interchanger_path(cx, cur.support, cur.order, ctx)
-    nf = TwoCellNF(cur.support, ctx)
-    app = GenApp(atom, untouched[:p], untouched[p:])
-    out = apply_step(cx, nf, app)
-    return chi + (app,), out
 
 
 def interpret(u: mol.Molecule, order: KOrder | None = None) -> GrayExpr3:
@@ -268,26 +302,15 @@ def interpret(u: mol.Molecule, order: KOrder | None = None) -> GrayExpr3:
     boundaries; different 2-orders give composites equal under
     `expr_equal`.
     """
-    cx = u.complex
     if u.dim != 3:
         raise ExpressionError("interpretation applies to 3-dimensional molecules")
     if order is None:
         order = k_order(u, 2)
         if order is None:
             raise ExpressionError("no admissible 2-order: frame graph loops")
-    frame_decomposition(u, 2, order)  # raises when the order cannot split u
-    bm = cx.boundary(u.members, 2, MINUS)
-    cur = TwoCellNF(bm, normal_order_of_subset(cx, bm))
-    source = cur
-    steps: list[Step] = []
-    for atom in order.sequence:
-        emitted, cur = _gen_step(cx, cur, atom)
-        steps.extend(emitted)
-    bp = cx.boundary(u.members, 2, PLUS)
-    if cur.support != bp:
-        raise ExpressionError("interpretation did not land on the output boundary")
-    steps.extend(interchanger_path(cx, bp, cur.order, normal_order_of_subset(cx, bp)))
-    return GrayExpr3(cx, source, tuple(steps))
+    elif order.k != 2 or not is_k_order(u, 2, order.sequence):
+        raise ExpressionError("not a k-order for this molecule")
+    return _interpretation(u, order.sequence)
 
 
 def interpret_atom_in_context(
@@ -304,30 +327,9 @@ def interpret_atom_in_context(
     tops = [x for x in u.members if cx.dim_of(x) == 3]
     if u.dim != 3 or len(tops) != 1:
         raise ExpressionError("expected a molecule with exactly one 3-cell")
-    atom = tops[0]
-    bm = cx.boundary(u.members, 2, MINUS)
-    cur = TwoCellNF(bm, normal_order_of_subset(cx, bm))
-    source = cur
-    steps: list[Step]
-    if context is None:
-        emitted, cur = _gen_step(cx, cur, atom)
-        steps = list(emitted)
-    else:
-        if atom not in context:
-            raise ExpressionError("the context must mention the 3-cell once")
-        abm, abm_order = _atom_boundary_cells(cx, atom, MINUS)
-        seq: list[str] = []
-        for c in context:
-            seq.extend(abm_order if c == atom else (c,))
-        ctx = tuple(seq)
-        chi = interchanger_path(cx, cur.support, cur.order, ctx)
-        hole = context.index(atom)
-        app = GenApp(atom, tuple(context[:hole]), tuple(context[hole + 1 :]))
-        cur = apply_step(cx, TwoCellNF(cur.support, ctx), app)
-        steps = list(chi) + [app]
-    bp = cx.boundary(u.members, 2, PLUS)
-    steps.extend(interchanger_path(cx, bp, cur.order, normal_order_of_subset(cx, bp)))
-    return GrayExpr3(cx, source, tuple(steps))
+    if context is not None and tops[0] not in context:
+        raise ExpressionError("the context must mention the 3-cell once")
+    return _interpretation(u, tops, context)
 
 
 # -- normal forms of expressions ---------------------------------------------------
@@ -346,32 +348,16 @@ def expr_normalize(e: GrayExpr3) -> GrayExpr3:
     source, target = nfs[0], nfs[-1]
     atoms = [s.atom for s in e.steps if isinstance(s, GenApp)]
     cx = e.complex
-    if not atoms:
-        return GrayExpr3(cx, source, interchanger_path(cx, source.support, source.order, target.order))
+    ids = frozenset(atoms)
+    if len(ids) != len(atoms):
+        return e  # repeated applications fall outside the canonical fragment
     region = frozenset().union(*[nf.support for nf in nfs], *[cx.closure([a]) for a in atoms])
     g = maxd(cx, region, 2)
-    reach = {a: g.reachable(a) for a in atoms}
-    remaining = sorted(atoms)
-    if len(set(atoms)) != len(atoms):
-        return e  # repeated applications fall outside the canonical fragment
-    ordered: list[str] = []
-    while remaining:
-        ready = [a for a in remaining if not any(a in reach[b] for b in remaining if b != a)]
-        if not ready:
-            return e
-        pick = min(ready)
-        ordered.append(pick)
-        remaining.remove(pick)
+    ordered = _lex_topo({a: tuple(sorted(g.reachable(a) & (ids - {a}))) for a in atoms})
+    if ordered is None:
+        return e
     try:
-        cur = source
-        steps: list[Step] = []
-        for atom in ordered:
-            emitted, cur = _gen_step(cx, cur, atom)
-            steps.extend(emitted)
-        if cur.support != target.support:
-            return e
-        steps.extend(interchanger_path(cx, target.support, cur.order, target.order))
-        return GrayExpr3(cx, source, tuple(steps))
+        return GrayExpr3(cx, source, _thread(cx, source, ordered, target))
     except ExpressionError:
         return e
 
@@ -379,10 +365,9 @@ def expr_normalize(e: GrayExpr3) -> GrayExpr3:
 def expr_equal(e1: GrayExpr3, e2: GrayExpr3) -> bool:
     """Equality of composites modulo interchanger coherence and independent
     reordering of generator steps."""
-    if nf_source(e1) != nf_source(e2) or nf_target(e1) != nf_target(e2):
-        return False
-    n1, n2 = expr_normalize(e1), expr_normalize(e2)
-    return n1.steps == n2.steps
+    # a normal form keeps its expression's endpoints, and equal steps from
+    # equal sources reach equal targets
+    return nf_source(e1) == nf_source(e2) and expr_normalize(e1).steps == expr_normalize(e2).steps
 
 
 @dataclass(frozen=True, eq=False)

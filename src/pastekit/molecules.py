@@ -16,9 +16,11 @@ isomorphism, and rename the rest ``left/x`` and ``right/y``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, TypeVar
 
 from .ogp import Complex, MINUS, PLUS, SIGNS, spherical_boundary
+
+T = TypeVar("T")
 
 
 class PastingError(ValueError):
@@ -310,10 +312,25 @@ def paste(u1: Molecule, u2: Molecule, k: int, name: str | None = None) -> Molecu
     return Molecule(cx, cx.whole(), cert, left_map, right_map)
 
 
+def _fold(cert: Atom | Pasting, atom: Callable[[Atom], T], paste: Callable[[Pasting, T, T], T]) -> T:
+    """Evaluate a certificate bottom-up, with an explicit stack instead of
+    recursion, so a chain's certificate may be as deep as the chain."""
+    done: list[T] = []
+    stack: list[tuple[Atom | Pasting, bool]] = [(cert, False)]
+    while stack:
+        node, halves_done = stack.pop()
+        if isinstance(node, Atom):
+            done.append(atom(node))
+        elif halves_done:
+            right = done.pop()
+            done.append(paste(node, done.pop(), right))
+        else:
+            stack += [(node, True), (node.right, False), (node.left, False)]
+    return done[0]
+
+
 def _rename(cert: Atom | Pasting, mapping: Mapping[str, str]) -> Atom | Pasting:
-    if isinstance(cert, Atom):
-        return Atom(mapping[cert.top])
-    return Pasting(cert.k, _rename(cert.left, mapping), _rename(cert.right, mapping))
+    return _fold(cert, lambda a: Atom(mapping[a.top]), lambda p, left, right: Pasting(p.k, left, right))
 
 
 def cell_to(u: Molecule, v: Molecule, name: str | None = None, top: str = "top") -> Molecule:
@@ -567,29 +584,21 @@ def certificate_ok(u: Molecule) -> bool:
     """
     cx = u.complex
 
-    def certified(cert: Atom | Pasting) -> frozenset[str] | None:
-        if isinstance(cert, Atom):
-            return cx.closure([cert.top]) if cert.top in cx else None
-        left, right = certified(cert.left), certified(cert.right)
-        if left is None or right is None or not _is_split(cx, left | right, left, right, cert.k):
+    def atom(a: Atom) -> frozenset[str] | None:
+        return cx.closure([a.top]) if a.top in cx else None
+
+    def paste(p: Pasting, left: frozenset[str] | None, right: frozenset[str] | None) -> frozenset[str] | None:
+        if left is None or right is None or not _is_split(cx, left | right, left, right, p.k):
             return None
         return left | right
 
-    return certified(u.certificate) == u.members
+    return _fold(u.certificate, atom, paste) == u.members
 
 
 def certificate_json(u: Molecule) -> dict:
     """Serialize a certificate tree (atoms and pasting nodes)."""
-
-    def doc(cert: Atom | Pasting) -> dict:
-        if isinstance(cert, Atom):
-            return {"atom": cert.top}
-        return {
-            "paste": {
-                "k": cert.k,
-                "left": doc(cert.left),
-                "right": doc(cert.right),
-            }
-        }
-
-    return doc(u.certificate)
+    return _fold(
+        u.certificate,
+        lambda a: {"atom": a.top},
+        lambda p, left, right: {"paste": {"k": p.k, "left": left, "right": right}},
+    )

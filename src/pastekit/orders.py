@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .ogp import Complex, MINUS, PLUS
@@ -247,14 +248,25 @@ def frame_decomposition(u: mol.Molecule, k: int, order: KOrder) -> list[mol.Mole
 
 @dataclass(frozen=True)
 class LoopFreeReport:
+    """Acyclicity and totality of a subset's oriented Hasse graph ``adjacency``.
+
+    ``reach`` is derived from the graph on first use; None when it loops.
+    """
+
     acyclic: bool
     total: bool
     order: tuple[str, ...] | None
-    reach: dict[str, frozenset[str]] | None
+    adjacency: dict[str, tuple[str, ...]]
     cycle: tuple[str, ...] | None = None
 
+    @cached_property
+    def reach(self) -> dict[str, frozenset[str]] | None:
+        if not self.acyclic:
+            return None
+        return {v: _reachable(self.adjacency, v) for v in self.adjacency}
+
     def preceq(self, x: str, y: str) -> bool:
-        if not self.acyclic or self.reach is None:
+        if not self.acyclic:
             raise ValueError("precedence undefined on a looping subset")
         return x == y or y in self.reach[x]
 
@@ -262,7 +274,7 @@ class LoopFreeReport:
 def totally_loop_free(cx: Complex, members: frozenset[str] | None = None) -> LoopFreeReport:
     """Analyse the oriented Hasse graph: acyclicity, reachability, totality.
 
-    The reachability preorder is returned whenever the graph is acyclic; a
+    The reachability preorder is available whenever the graph is acyclic; a
     total order is additionally returned exactly when reachability compares
     every pair, in which case it is the unique topological order.
     """
@@ -271,32 +283,25 @@ def totally_loop_free(cx: Complex, members: frozenset[str] | None = None) -> Loo
     adj = cx.oriented_hasse(members)
     order = _lex_topo(adj)
     if order is None:
-        return LoopFreeReport(False, False, None, None, _find_cycle(adj))
-    reach = {v: _reachable(adj, v) for v in adj}
+        return LoopFreeReport(False, False, None, adj, _find_cycle(adj))
     # a topological order is the only one exactly when consecutive vertices
     # are joined by an edge, i.e. reachability is total
     total = all(w in adj[v] for v, w in zip(order, order[1:]))
-    return LoopFreeReport(True, total, tuple(order) if total else None, reach)
+    return LoopFreeReport(True, total, tuple(order) if total else None, adj)
 
 
 def normal_1_order(u: mol.Molecule) -> KOrder:
     """The canonical 1-order of a 2-molecule: its cells in precedence order."""
     if u.dim != 2:
         raise ValueError("normal 1-orders exist on 2-dimensional molecules only")
-    rep = totally_loop_free(u.complex, u.members)
-    if not rep.acyclic or not rep.total:
-        raise RuntimeError(f"{u.complex.name}: precedence is not a total order")
-    assert rep.order is not None
-    seq = tuple(x for x in rep.order if u.complex.dim_of(x) == 2)
-    return KOrder(1, seq)
+    return KOrder(1, normal_order_of_subset(u.complex, u.members))
 
 
 def normal_order_of_subset(cx: Complex, members: frozenset[str]) -> tuple[str, ...]:
     """Precedence-sorted top cells of a 2-dimensional closed subset."""
     rep = totally_loop_free(cx, members)
-    if not rep.acyclic or not rep.total:
+    if rep.order is None:
         raise RuntimeError("precedence is not total on this subset")
-    assert rep.order is not None
     return tuple(x for x in rep.order if cx.dim_of(x) == 2)
 
 
@@ -320,9 +325,8 @@ def slice_decomposition(u: mol.Molecule, i: mol.Molecule) -> tuple[mol.Molecule,
             raise ValueError("a 1-molecule is only cut along itself")
         return u, u
     rep = totally_loop_free(cx, u.members)
-    if not rep.acyclic:
+    if rep.reach is None:
         raise RuntimeError("molecule precedence loops")
-    assert rep.reach is not None
     # a cell is above the cut iff some cut wire feeds into it; the cut's
     # endpoint vertices are shared with everything and say nothing
     cut_wires = [w for w in i.members if cx.dim_of(w) == 1]

@@ -172,34 +172,52 @@ def serialize_presentation(p: ProPresentation) -> bytes:
     return _dump(doc)
 
 
+def _strings(value: Any, what: str) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ParseError(f"{what} must be a list of strings, not {value!r}")
+    return tuple(value)
+
+
 def parse_presentation(data: bytes | str) -> ProPresentation:
     try:
         doc = json.loads(data)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict) or not isinstance(doc.get("generators"), list):
+        raise ParseError("expected an object with a 'generators' list")
+    name = doc.get("name", "theory")
+    if not isinstance(name, str):
+        raise ParseError(f"presentation name must be a string, not {name!r}")
+    gens = []
+    for g in doc["generators"]:
+        if not isinstance(g, dict) or not isinstance(g.get("name"), str):
+            raise ParseError(f"malformed generator {g!r}")
+        gens.append(
+            GenOp(g["name"], _strings(g.get("in"), f"{g['name']}.in"), _strings(g.get("out"), f"{g['name']}.out"))
+        )
+    relations = doc.get("relations", [])
+    if not isinstance(relations, list) or not all(
+        isinstance(r, dict) and isinstance(r.get("name", ""), str) for r in relations
+    ):
+        raise ParseError("'relations' must be a list of objects with string names")
+    flags = doc.get("flags", {})
+    if not isinstance(flags, dict) or not all(isinstance(v, bool) for v in flags.values()):
+        raise ParseError("'flags' must be an object mapping strings to booleans")
     try:
-        gens = tuple(
-            GenOp(g["name"], tuple(g["in"]), tuple(g["out"])) for g in doc["generators"]
-        )
         rels = tuple(
-            Relation(
-                r.get("name", f"r{i}"),
-                _cell_from_doc(r["lhs"]),
-                _cell_from_doc(r["rhs"]),
-            )
-            for i, r in enumerate(doc.get("relations", []))
+            Relation(r.get("name", f"r{i}"), _cell_from_doc(r["lhs"]), _cell_from_doc(r["rhs"]))
+            for i, r in enumerate(relations)
         )
-        flags = doc.get("flags", {})
-        p = ProPresentation(
-            doc.get("name", "theory"),
-            tuple(doc["sorts"]),
-            gens,
-            rels,
-            bool(flags.get("braided", False)),
-            bool(flags.get("symmetric", False)),
-        )
-    except (TypeError, KeyError) as exc:
-        raise ParseError(f"malformed presentation: {exc}") from exc
+    except KeyError as exc:
+        raise ParseError(f"malformed presentation: relation without {exc}") from exc
+    p = ProPresentation(
+        name,
+        _strings(doc.get("sorts"), "'sorts'"),
+        tuple(gens),
+        rels,
+        flags.get("braided", False),
+        flags.get("symmetric", False),
+    )
     p.check_relations()
     return p
 

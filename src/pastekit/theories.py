@@ -158,8 +158,6 @@ def _op_words(op: Op, signatures: Mapping[str, tuple[Word, Word]]) -> tuple[Word
         if op.name not in signatures:
             raise TheoryError(f"unknown generator {op.name!r}")
         return signatures[op.name]
-    if isinstance(op, Braid):
-        return (op.a, op.b), (op.b, op.a)
     return (op.a, op.b), (op.b, op.a)
 
 
@@ -180,13 +178,13 @@ def stack(*cells: Layered2Cell) -> Layered2Cell:
 
 def sigma_expr(s: Permutation, w: Sequence[str]) -> Layered2Cell:
     """The positive-crossing braid word realising a permutation on a word."""
-    return _braiding_cell(s, tuple(w), inverse=False)
+    return _braiding_cell(s, tuple(w))
 
 
 def sigma_star_expr(s: Permutation, w: Sequence[str]) -> Layered2Cell:
     """The inverse-crossing realisation: the formal inverse of the positive
     word for the inverse permutation."""
-    forward = _braiding_cell(s.inverse(), _permute_word(s, tuple(w)), inverse=False)
+    forward = _braiding_cell(s.inverse(), _permute_word(s, tuple(w)))
     # invert: reverse the slices and flip every crossing
     word = tuple(w)
     slices = []
@@ -203,15 +201,14 @@ def _permute_word(s: Permutation, w: Word) -> Word:
     return tuple(w[s(j) - 1] for j in range(1, s.n + 1))
 
 
-def _braiding_cell(s: Permutation, w: Word, inverse: bool) -> Layered2Cell:
+def _braiding_cell(s: Permutation, w: Word) -> Layered2Cell:
     if s.n != len(w):
         raise TheoryError("permutation and word lengths differ")
     slices = []
     word = w
     for k in perm_decompose(s):
         a, b = word[k - 1], word[k]
-        op: Op = BraidInv(a, b) if inverse else Braid(a, b)
-        slices.append(Slice(word[: k - 1], op, word[k + 1 :]))
+        slices.append(Slice(word[: k - 1], Braid(a, b), word[k + 1 :]))
         word = word[: k - 1] + (b, a) + word[k + 1 :]
     return Layered2Cell(w, tuple(slices))
 
@@ -435,13 +432,13 @@ def _interchange_relation(phi: GenOp, psi: GenOp, sep: str) -> Relation:
         (pair_id(a[i], psi.name, sep), tuple(pair_id(a[i], ck, sep) for ck in c), tuple(pair_id(a[i], dl, sep) for dl in d))
         for i in range(n)
     ]
-    lhs_1, lhs_src, _ = _parallel_slices(left_apps) if left_apps else (unit_cell(()), (), ())
+    lhs_1, lhs_src, _ = _parallel_slices(left_apps)
     sg, _ = block_sigma(n, q, grid(a, d))
     mid_apps = [
         (pair_id(phi.name, d[l], sep), tuple(pair_id(ai, d[l], sep) for ai in a), tuple(pair_id(bj, d[l], sep) for bj in b))
         for l in range(q)
     ]
-    lhs_3, _, _ = _parallel_slices(mid_apps) if mid_apps else (unit_cell(()), (), ())
+    lhs_3, _, _ = _parallel_slices(mid_apps)
     _, sg_star = block_sigma(m, q, grid(b, d))
     lhs = Layered2Cell(lhs_src, lhs_1.slices + sg.slices + lhs_3.slices + sg_star.slices)
 
@@ -450,13 +447,13 @@ def _interchange_relation(phi: GenOp, psi: GenOp, sep: str) -> Relation:
         (pair_id(phi.name, c[k], sep), tuple(pair_id(ai, c[k], sep) for ai in a), tuple(pair_id(bj, c[k], sep) for bj in b))
         for k in range(p)
     ]
-    rhs_2, _, _ = _parallel_slices(first_apps) if first_apps else (unit_cell(()), (), ())
+    rhs_2, _, _ = _parallel_slices(first_apps)
     _, sg2_star = block_sigma(m, p, grid(b, c))
     last_apps = [
         (pair_id(b[j], psi.name, sep), tuple(pair_id(b[j], ck, sep) for ck in c), tuple(pair_id(b[j], dl, sep) for dl in d))
         for j in range(m)
     ]
-    rhs_4, _, _ = _parallel_slices(last_apps) if last_apps else (unit_cell(()), (), ())
+    rhs_4, _, _ = _parallel_slices(last_apps)
     rhs_src = tuple(pair_id(ai, ck, sep) for ai in a for ck in c)
     rhs = Layered2Cell(rhs_src, sg2.slices + rhs_2.slices + sg2_star.slices + rhs_4.slices)
     return Relation(pair_id(phi.name, psi.name, sep), lhs, rhs)

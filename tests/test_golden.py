@@ -6,7 +6,8 @@ a certificate.  These sha256 digests pin all of that on the shipped
 fixtures, a fixed-seed corpus of random molecules, and the substitution
 inside power's collapse, so a change to the gluing step cannot rename,
 reorder or re-certify anything unnoticed.  Gray products of the test
-factors and the Mon∧Mon smash presentation are pinned the same way.
+factors, the Mon∧Mon smash presentation and the interchanger calculus's
+composites are pinned the same way.
 """
 import hashlib
 import json
@@ -14,19 +15,27 @@ import random
 
 from conftest import random_molecule
 from pastekit import (
+    KOrder,
     Molecule,
     builtin,
     certificate_json,
     check_sim_substitution,
+    expr_normalize,
+    four_cell_equation,
+    frame_decomposition,
     globe,
     globe_molecule,
     gray_product,
+    interpret,
+    interpret_atom_in_context,
     interval_chain,
+    k_order,
     presentation_of_smash,
+    recognize,
     u_cell,
 )
 from pastekit.fixtures import fixture_files, frob, power
-from pastekit.serialize import serialize_complex, serialize_diag_presentation
+from pastekit.serialize import serialize_complex, serialize_diag_presentation, serialize_expr
 
 
 def digest(u: Molecule) -> str:
@@ -122,3 +131,34 @@ def test_mon_smash_presentation_digest():
     mon = builtin("MonComplex")
     blob = serialize_diag_presentation(presentation_of_smash(mon, mon))
     assert hashlib.sha256(blob).hexdigest() == "2365b333d5ffeaedc0729dc3871618dfaadf514ee6df2eecbb5b6247a2cfc711"
+
+
+GRAYCAT_DIGESTS = {
+    "interpret/phi_psi": "f4aed4134dc830b5229c872b09948a0fb738df3111b043f91f705e83ddac3cae",
+    "normalize/phi_psi": "f4aed4134dc830b5229c872b09948a0fb738df3111b043f91f705e83ddac3cae",
+    "interpret/psi_phi": "0774cf643930e6e7a1854ef2b7c76e0bd37b406cf19dcabb227690cc6d110ad1",
+    "normalize/psi_phi": "f4aed4134dc830b5229c872b09948a0fb738df3111b043f91f705e83ddac3cae",
+    "atom/default": "476e20a114f8f89095150144d637399a52b9aca0e618b7697628eada3df8e9cd",
+    "atom/x_y_phi": "476e20a114f8f89095150144d637399a52b9aca0e618b7697628eada3df8e9cd",
+    "atom/x_phi_y": "b6cf626c0f256584a183e5cf6d2a07ffb483a6276859ea0fd7077dddd6ed9479",
+    "four_cell/lhs": "5ace2e99c9e0e7f9ec45f1f0e87d761c79d72b081d9244b14dd8445ac920c7c6",
+    "four_cell/rhs": "414ab8344de911594022bb020ace0131dcdfc114b65fe794185e0268bd48a199",
+}
+
+
+def test_graycat_expr_digests():
+    F = frob()
+    u = F.molecule
+    got = {}
+    for name, seq in (("phi_psi", (F["phi"], F["psi"])), ("psi_phi", (F["psi"], F["phi"]))):
+        e = interpret(u, KOrder(2, seq))
+        got[f"interpret/{name}"] = e
+        got[f"normalize/{name}"] = expr_normalize(e)
+    v1, _ = frame_decomposition(u, 2, k_order(u, 2))
+    got["atom/default"] = interpret_atom_in_context(v1)
+    got["atom/x_y_phi"] = interpret_atom_in_context(v1, (F["x"], F["y"], F["phi"]))
+    got["atom/x_phi_y"] = interpret_atom_in_context(v1, (F["x"], F["phi"], F["y"]))
+    square = gray_product(globe(2), globe(2))
+    eq = four_cell_equation(recognize(square, square.whole()))
+    got["four_cell/lhs"], got["four_cell/rhs"] = eq.lhs, eq.rhs
+    assert {k: hashlib.sha256(serialize_expr(e)).hexdigest() for k, e in got.items()} == GRAYCAT_DIGESTS

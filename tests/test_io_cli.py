@@ -242,6 +242,23 @@ def test_cli_rejects_mistyped_maps(fixture_dir, tmp_path, capsys, base, field, v
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("flags", 5), ("relations", [[1]]), ("sorts", "ab")],
+    ids=["int-flags", "list-relation", "string-sorts"],
+)
+def test_cli_rejects_mistyped_presentation(fixture_dir, tmp_path, capsys, field, value):
+    doc = json.loads((fixture_dir / "mon.json").read_bytes())
+    doc[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match=field):
+        parse_presentation(path.read_bytes())
+    assert main(["tensor", str(path), str(fixture_dir / "comon.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_cli_usage_error():
     assert main(["no-such-command"]) == 2
 

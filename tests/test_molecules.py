@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from pastekit import (
@@ -294,6 +296,22 @@ def test_certificate_ok_rejects_wrong_trees():
         Atom("ghost"),  # not an element
     ):
         assert not certificate_ok(Molecule(u.complex, u.members, bad))
+
+
+def test_certificate_walks_do_not_recurse_per_node():
+    u = interval_chain(300)  # its certificate is 299 pasting nodes deep
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 150)
+    try:
+        assert certificate_ok(u)
+        assert certificate_json(u)["paste"]["k"] == 0
+        longer = paste(u, globe_molecule(1), 0)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(longer.members) == len(u.members) + 2
 
 
 def test_paste_associative_at_level_one():
