@@ -109,6 +109,8 @@ def _swap(nf: TwoCellNF, step: Interchange, prec: Precedence) -> TwoCellNF:
     a, b = nf.order[p], nf.order[p + 1]
     if step.pair != (a, b):
         raise ExpressionError(f"interchange pair mismatch at position {p}")
+    if a not in rank or b not in rank:
+        raise ExpressionError(f"{a if a not in rank else b!r} is not a cell of the support")
     if b in reach.get(a, ()) or a in reach.get(b, ()):
         raise ExpressionError(f"cells {a!r} and {b!r} are not independent")
     raises_weight = rank[a] < rank[b]
@@ -127,7 +129,7 @@ def apply_step(cx: Complex, nf: TwoCellNF, step: Step) -> TwoCellNF:
     """Validate one step against a normal form and produce the next one."""
     if isinstance(step, Interchange):
         return _swap(nf, step, _precedence(cx, nf.support))
-    if cx.dim_of(step.atom) != 3:
+    if step.atom not in cx or cx.dim_of(step.atom) != 3:
         raise ExpressionError(f"{step.atom!r} is not a 3-cell")
     bm, bm_order = _atom_boundary_cells(cx, step.atom, MINUS)
     bp, bp_order = _atom_boundary_cells(cx, step.atom, PLUS)

@@ -34,6 +34,31 @@ def _dump(doc: Any) -> bytes:
     return (json.dumps(doc, ensure_ascii=False, indent=2) + "\n").encode("utf-8")
 
 
+def _load(data: bytes | str) -> Any:
+    try:
+        return json.loads(data)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from exc
+
+
+def _str(value: Any, what: str) -> str:
+    if not isinstance(value, str):
+        raise ParseError(f"{what} must be a string, not {value!r}")
+    return value
+
+
+def _int(value: Any, what: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParseError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
+def _strings(value: Any, what: str) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ParseError(f"{what} must be a list of strings, not {value!r}")
+    return tuple(value)
+
+
 # -- complexes -------------------------------------------------------------------
 
 
@@ -63,9 +88,7 @@ def serialize_complex(cx: Complex, extra: Mapping[str, Any] | None = None) -> by
 def complex_from_doc(doc: Any) -> tuple[Complex, dict[str, Any]]:
     if not isinstance(doc, dict) or not isinstance(doc.get("elements"), list):
         raise ParseError("expected an object with an 'elements' list")
-    name = doc.get("name", "complex")
-    if not isinstance(name, str):
-        raise ParseError(f"complex name must be a string, not {name!r}")
+    name = _str(doc.get("name", "complex"), "complex name")
     table = {}
     for entry in doc["elements"]:
         try:
@@ -92,11 +115,7 @@ def complex_from_doc(doc: Any) -> tuple[Complex, dict[str, Any]]:
 
 
 def parse_complex(data: bytes | str) -> tuple[Complex, dict[str, Any]]:
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    return complex_from_doc(doc)
+    return complex_from_doc(_load(data))
 
 
 def serialize_labelled(lc: LabelledComplex, extra: Mapping[str, Any] | None = None) -> bytes:
@@ -127,19 +146,20 @@ def _slice_to_doc(s: Slice) -> dict:
 
 
 def _slice_from_doc(doc: Any) -> Slice:
-    try:
-        op_doc = doc["op"]
-        if "gen" in op_doc:
-            op: Any = GenRef(op_doc["gen"])
-        elif "braid" in op_doc:
-            op = Braid(*op_doc["braid"])
-        elif "braidInv" in op_doc:
-            op = BraidInv(*op_doc["braidInv"])
-        else:
-            raise ParseError(f"unknown op {op_doc!r}")
-        return Slice(tuple(doc["pre"]), op, tuple(doc["post"]))
-    except (TypeError, KeyError) as exc:
-        raise ParseError(f"malformed slice {doc!r}") from exc
+    if not isinstance(doc, dict) or not isinstance(doc.get("op"), dict):
+        raise ParseError(f"malformed slice {doc!r}")
+    op_doc = doc["op"]
+    if "gen" in op_doc:
+        op: Any = GenRef(_str(op_doc["gen"], "'gen'"))
+    elif "braid" in op_doc or "braidInv" in op_doc:
+        kind = "braid" if "braid" in op_doc else "braidInv"
+        pair = _strings(op_doc[kind], f"{kind!r} pair")
+        if len(pair) != 2:
+            raise ParseError(f"{kind!r} pair must be two strings, not {op_doc[kind]!r}")
+        op = (Braid if kind == "braid" else BraidInv)(*pair)
+    else:
+        raise ParseError(f"unknown op {op_doc!r}")
+    return Slice(_strings(doc.get("pre"), "'pre'"), op, _strings(doc.get("post"), "'post'"))
 
 
 def _cell_to_doc(c: Layered2Cell) -> dict:
@@ -147,12 +167,10 @@ def _cell_to_doc(c: Layered2Cell) -> dict:
 
 
 def _cell_from_doc(doc: Any) -> Layered2Cell:
-    try:
-        return Layered2Cell(
-            tuple(doc["source"]), tuple(_slice_from_doc(s) for s in doc["slices"])
-        )
-    except (TypeError, KeyError) as exc:
-        raise ParseError(f"malformed layered cell {doc!r}") from exc
+    if not isinstance(doc, dict) or not isinstance(doc.get("slices"), list):
+        raise ParseError(f"malformed layered cell {doc!r}")
+    slices = tuple(_slice_from_doc(s) for s in doc["slices"])
+    return Layered2Cell(_strings(doc.get("source"), "'source'"), slices)
 
 
 def serialize_presentation(p: ProPresentation) -> bytes:
@@ -172,22 +190,11 @@ def serialize_presentation(p: ProPresentation) -> bytes:
     return _dump(doc)
 
 
-def _strings(value: Any, what: str) -> tuple[str, ...]:
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise ParseError(f"{what} must be a list of strings, not {value!r}")
-    return tuple(value)
-
-
 def parse_presentation(data: bytes | str) -> ProPresentation:
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
+    doc = _load(data)
     if not isinstance(doc, dict) or not isinstance(doc.get("generators"), list):
         raise ParseError("expected an object with a 'generators' list")
-    name = doc.get("name", "theory")
-    if not isinstance(name, str):
-        raise ParseError(f"presentation name must be a string, not {name!r}")
+    name = _str(doc.get("name", "theory"), "presentation name")
     gens = []
     for g in doc["generators"]:
         if not isinstance(g, dict) or not isinstance(g.get("name"), str):
@@ -240,15 +247,14 @@ def serialize_diag_presentation(p: DiagComplexPresentation) -> bytes:
 
 
 def parse_diag_presentation(data: bytes | str) -> DiagComplexPresentation:
+    doc = _load(data)
     try:
-        doc = json.loads(data)
         cells = []
         for c in doc["cells"]:
             shape, extra = complex_from_doc(c["shape"])
-            cells.append(
-                DiagCell(c["name"], c["dim"], LabelledComplex(shape, dict(extra["labels"])))
-            )
-        return DiagComplexPresentation(doc.get("name", "presentation"), tuple(cells))
+            label = LabelledComplex(shape, dict(extra["labels"]))
+            cells.append(DiagCell(_str(c["name"], "cell name"), _int(c["dim"], "cell dim"), label))
+        return DiagComplexPresentation(_str(doc.get("name", "presentation"), "presentation name"), tuple(cells))
     except (TypeError, KeyError) as exc:
         raise ParseError(f"malformed diagrammatic presentation: {exc}") from exc
 
@@ -275,19 +281,20 @@ def serialize_expr(e: GrayExpr3) -> bytes:
 
 
 def parse_expr(data: bytes | str, cx: Complex) -> GrayExpr3:
+    doc = _load(data)
     try:
-        doc = json.loads(data)
-        src = TwoCellNF(
-            frozenset(doc["source"]["support"]), tuple(doc["source"]["order"])
-        )
+        source = doc["source"]
+        src = TwoCellNF(frozenset(_strings(source["support"], "'support'")), _strings(source["order"], "'order'"))
         steps: list[Any] = []
         for s in doc["steps"]:
             if "interchange" in s:
                 i = s["interchange"]
-                steps.append(Interchange(i["pos"], i["dir"], tuple(i["pair"])))
+                pair = _strings(i["pair"], "'pair'")
+                steps.append(Interchange(_int(i["pos"], "'pos'"), _str(i["dir"], "'dir'"), pair))
             else:
                 a = s["apply"]
-                steps.append(GenApp(a["atom"], tuple(a["pre"]), tuple(a["post"])))
+                words = _strings(a["pre"], "'pre'"), _strings(a["post"], "'post'")
+                steps.append(GenApp(_str(a["atom"], "'atom'"), *words))
         return GrayExpr3(cx, src, tuple(steps))
     except (TypeError, KeyError) as exc:
         raise ParseError(f"malformed expression: {exc}") from exc

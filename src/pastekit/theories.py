@@ -20,6 +20,7 @@ from .products import (
     smash_collapse,
     smash_generators,
 )
+from .fixtures import NamedMolecule, _cell_to, _named, _paste
 from .molecules import cell_to, globe, globe_molecule, paste, u_cell
 from .ogp import validate_complex
 
@@ -663,11 +664,7 @@ def _mon_complex() -> DiagComplexPresentation:
     mu_shape = u_cell(2, 1)
     mu = DiagCell("μ", 2, _label_molecule(mu_shape, {"top": "μ"}))
     eta_shape = u_cell(1, 1)
-    eta_in = next(
-        x
-        for x in eta_shape.complex.boundary(eta_shape.members, 1, MINUS)
-        if eta_shape.complex.dim_of(x) == 1
-    )
+    eta_in = next(x for x in eta_shape.boundary(1, MINUS) if eta_shape.complex.dim_of(x) == 1)
     eta = DiagCell("η", 2, _label_molecule(eta_shape, {"top": "η", eta_in: BASEPOINT}))
 
     o1m = lambda: globe_molecule(1)
@@ -676,30 +673,16 @@ def _mon_complex() -> DiagComplexPresentation:
     assoc_shape = cell_to(m_side, n_side)
     assoc = DiagCell("α", 3, _label_molecule(assoc_shape, {"top": "α"}))
 
+    # λ, ρ: η beside a wire, then μ, rewrite to a μ-shaped cell labelled as the
+    # basepoint; η's input wire ("dotted") is a basepoint too
+    eta_named = NamedMolecule(eta_shape, {"η": "top", "dotted": eta_in})
+
     def unitor(name: str, eta_on_left: bool) -> DiagCell:
-        e = u_cell(1, 1)
-        e_in = next(
-            x for x in e.complex.boundary(e.members, 1, MINUS) if e.complex.dim_of(x) == 1
-        )
-        lo = paste(e, o1m(), 0) if eta_on_left else paste(o1m(), e, 0)
-        side = "left" if eta_on_left else "right"
-        amap = lo.left_map if eta_on_left else lo.right_map
-        eta_cell = amap["top"]
-        dotted = amap[e_in]
-        lhs = paste(lo, u_cell(2, 1), 1)
-        assert lhs.left_map is not None
-        eta_cell = lhs.left_map[eta_cell]
-        dotted = lhs.left_map[dotted]
-        rhs = u_cell(2, 1)
-        shape = cell_to(lhs, rhs)
-        assert shape.left_map is not None and shape.right_map is not None
-        special = {
-            "top": name,
-            shape.left_map[eta_cell]: "η",
-            shape.left_map[dotted]: BASEPOINT,
-            shape.right_map["top"]: BASEPOINT,
-        }
-        return DiagCell(name, 3, _label_molecule(shape, special))
+        o1n = _named(o1m())
+        lo = _paste(eta_named, o1n, 0) if eta_on_left else _paste(o1n, eta_named, 0)
+        shape = _cell_to(_paste(lo, _named(u_cell(2, 1)), 1), _named(u_cell(2, 1), "μ"), name)
+        special = {shape[name]: name, shape["η"]: "η", shape["dotted"]: BASEPOINT, shape["μ"]: BASEPOINT}
+        return DiagCell(name, 3, _label_molecule(shape.molecule, special))
 
     out = DiagComplexPresentation(
         "MonComplex", (point, wire, mu, eta, assoc, unitor("λ", True), unitor("ρ", False))

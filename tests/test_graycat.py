@@ -27,7 +27,7 @@ from pastekit import (
     recognize,
     u_cell,
 )
-from pastekit.graycat import apply_step
+from pastekit.graycat import ExpressionError, apply_step
 from pastekit.orders import normal_order_of_subset
 from pastekit.render import _wire_sequence
 from pastekit.fixtures import frob
@@ -320,3 +320,20 @@ def test_mislabelled_interchange_direction_rejected():
         apply_step(cx, nf, Interchange(0, "inv", (normal[0], normal[1])))
     good = apply_step(cx, nf, Interchange(0, "fwd", (normal[0], normal[1])))
     assert good.order == (normal[1], normal[0])
+
+
+def test_cells_outside_the_support_raise_expression_error():
+    row = _row_of_cells(2)
+    cx = row.complex
+    order = normal_order_of_subset(cx, row.members)
+    ghost = TwoCellNF(row.members, ("ghost",) + order)
+    swap = Interchange(0, "fwd", ("ghost", order[0]))
+    with pytest.raises(ExpressionError, match="ghost"):
+        apply_step(cx, ghost, swap)
+    with pytest.raises(ExpressionError, match="ghost"):
+        nf_target(GrayExpr3(cx, ghost, (swap,)))
+    nf = TwoCellNF(row.members, order)
+    with pytest.raises(ExpressionError, match="ghost"):
+        apply_step(cx, nf, GenApp("ghost", (), ()))
+    with pytest.raises(ExpressionError, match="ghost"):
+        nf_target(GrayExpr3(cx, nf, (GenApp("ghost", (), ()),)))

@@ -242,21 +242,74 @@ def test_cli_rejects_mistyped_maps(fixture_dir, tmp_path, capsys, base, field, v
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def _set(doc, path, value):
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    doc[last] = value
+
+
+SLICE = ["relations", 0, "lhs", "slices", 0]
+
+
 @pytest.mark.parametrize(
-    "field, value",
-    [("flags", 5), ("relations", [[1]]), ("sorts", "ab")],
-    ids=["int-flags", "list-relation", "string-sorts"],
+    "path, value, match",
+    [
+        (["flags"], 5, "flags"),
+        (["relations"], [[1]], "relations"),
+        (["sorts"], "ab", "sorts"),
+        (["relations", 0, "lhs", "source"], "111", "source"),
+        (["relations", 0, "rhs", "slices", 0, "pre"], "1", "pre"),
+        (SLICE + ["post"], "1", "post"),
+        (SLICE + ["op"], {"braid": "11"}, "braid"),
+        (SLICE + ["op"], {"braidInv": ["1", "1", "1"]}, "braidInv"),
+    ],
+    ids=[
+        "int-flags", "list-relation", "string-sorts", "string-source", "string-pre", "string-post",
+        "string-braid", "triple-braidInv",
+    ],
 )
-def test_cli_rejects_mistyped_presentation(fixture_dir, tmp_path, capsys, field, value):
+def test_cli_rejects_mistyped_presentation(fixture_dir, tmp_path, capsys, path, value, match):
     doc = json.loads((fixture_dir / "mon.json").read_bytes())
-    doc[field] = value
+    _set(doc, path, value)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(ParseError, match=field):
+    with pytest.raises(ParseError, match=match):
         parse_presentation(path.read_bytes())
     assert main(["tensor", str(path), str(fixture_dir / "comon.json")]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "path, value, match",
+    [
+        (["source", "support"], "ab", "support"),
+        (["steps", 0, "interchange", "pair"], "ab", "pair"),
+        (["steps", 0, "interchange", "pos"], "0", "pos"),
+        (["steps", 0, "interchange", "pos"], True, "pos"),
+    ],
+    ids=["string-support", "string-pair", "string-pos", "bool-pos"],
+)
+def test_parse_expr_rejects_mistyped_fields(path, value, match):
+    from pastekit import interpret
+
+    F = frob()
+    doc = json.loads(serialize_expr(interpret(F.molecule)))
+    assert "interchange" in doc["steps"][0]
+    _set(doc, path, value)
+    with pytest.raises(ParseError, match=match):
+        parse_expr(json.dumps(doc), F.molecule.complex)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("dim", "1"), ("dim", True), ("name", 5)], ids=["string-dim", "bool-dim", "int-name"]
+)
+def test_parse_diag_presentation_rejects_mistyped_cells(field, value):
+    doc = json.loads(serialize_diag_presentation(builtin("MonComplex")))
+    doc["cells"][1][field] = value
+    with pytest.raises(ParseError, match=f"cell {field}"):
+        parse_diag_presentation(json.dumps(doc))
 
 
 def test_cli_usage_error():

@@ -330,3 +330,16 @@ def test_sign_flip_is_an_involution():
         assert flip(flip(s)) == s
     with pytest.raises(ValueError):
         flip("?")
+
+
+def test_named_gluing_rejects_a_name_on_two_elements():
+    from pastekit.fixtures import NamedMolecule, _cell_to, _named, _paste
+
+    o1 = globe_molecule(1)
+    # the gluing identifies the first arrow's target with the second's source
+    joined = _paste(NamedMolecule(o1, {"v": "0+"}), NamedMolecule(o1, {"v": "0-"}), 0)
+    assert joined["v"] == joined.molecule.left_map["0+"]
+    with pytest.raises(ValueError, match="'a' tracked to two elements"):
+        _paste(_named(o1, "a"), _named(o1, "a"), 0)
+    with pytest.raises(ValueError, match="'a' tracked to two elements"):
+        _cell_to(_named(u_cell(1, 1), "a"), _named(u_cell(1, 1)), "a")
