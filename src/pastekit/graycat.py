@@ -12,7 +12,7 @@ between canonical interchanger phases: for `interpret`, for
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .ogp import Complex, MINUS, PLUS
 from . import molecules as mol
@@ -83,6 +83,7 @@ def _precedence(cx: Complex, support: frozenset[str]) -> Precedence:
 def inversion_weight(cx: Complex, nf: TwoCellNF) -> int:
     """Pairs listed against the precedence order of the support."""
     rank, _ = _precedence(cx, nf.support)
+    _in_support(rank, nf.order)
     w = 0
     for i in range(len(nf.order)):
         for j in range(i + 1, len(nf.order)):
@@ -92,6 +93,12 @@ def inversion_weight(cx: Complex, nf: TwoCellNF) -> int:
 
 
 # -- expression traversal ------------------------------------------------------
+
+
+def _in_support(rank: Mapping[str, int], cells: Iterable[str]) -> None:
+    for x in cells:
+        if x not in rank:
+            raise ExpressionError(f"{x!r} is not a cell of the support")
 
 
 def _atom_boundary_cells(cx: Complex, atom: str, sign: str) -> tuple[frozenset[str], tuple[str, ...]]:
@@ -109,8 +116,7 @@ def _swap(nf: TwoCellNF, step: Interchange, prec: Precedence) -> TwoCellNF:
     a, b = nf.order[p], nf.order[p + 1]
     if step.pair != (a, b):
         raise ExpressionError(f"interchange pair mismatch at position {p}")
-    if a not in rank or b not in rank:
-        raise ExpressionError(f"{a if a not in rank else b!r} is not a cell of the support")
+    _in_support(rank, (a, b))
     if b in reach.get(a, ()) or a in reach.get(b, ()):
         raise ExpressionError(f"cells {a!r} and {b!r} are not independent")
     raises_weight = rank[a] < rank[b]

@@ -16,7 +16,7 @@ isomorphism, and rename the rest ``left/x`` and ``right/y``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, TypeVar
+from typing import Callable, Iterator, Mapping, TypeVar
 
 from .ogp import Complex, MINUS, PLUS, SIGNS, spherical_boundary
 
@@ -92,10 +92,6 @@ class Molecule:
 
     def as_complex(self, name: str | None = None) -> Complex:
         return self.complex.restrict(self.members, name)
-
-    def atoms(self) -> tuple[str, ...]:
-        """Ids of the maximal elements (the cells pasted together)."""
-        return tuple(sorted(self.complex.maximal(self.members)))
 
 
 def spherical(u: Molecule | tuple[Complex, frozenset[str]]) -> bool:
@@ -201,32 +197,38 @@ def unique_iso(
     # match from the top dimension down, so each element's cofaces are
     # matched before it
     order = sorted(a, key=lambda x: (-acx.dim_of(x), x))
+    fwd: dict[str, str] = {}
+    used: set[str] = set()
     found: list[dict[str, str]] = []
 
-    def fits(x: str, y: str, fwd: dict[str, str]) -> bool:
+    def images(i: int) -> Iterator[str]:
+        """The unused images of ``order[i]`` with its signed cofaces under
+        ``fwd``; a generator, so it reads ``fwd`` when first drawn from."""
+        x = order[i]
         # every signed cover is verified once, when its lower element is matched
-        return {(fwd[z], s) for z, s in acx.cofaces(x) if z in a} == {
-            (z, s) for z, s in bcx.cofaces(y) if z in b
-        }
+        up = {(fwd[z], s) for z, s in acx.cofaces(x) if z in a}
+        for y in by_fp.get(fpa[x], ()):
+            if y not in used and up == {(z, s) for z, s in bcx.cofaces(y) if z in b}:
+                yield y
 
-    def extend(i: int, fwd: dict[str, str], used: set[str]) -> bool:
-        """Extend ``fwd`` from ``order[i]``; True once a second isomorphism is found."""
+    # depth-first over an explicit stack: trials[i] draws the images of
+    # order[i], and fwd matches exactly order[:i] when it is drawn from
+    trials = [images(0)]
+    while trials and len(found) < 2:
+        i = len(trials) - 1
         if i == len(order):
             found.append(dict(fwd))
-            return len(found) > 1
-        x = order[i]
-        for y in by_fp.get(fpa[x], ()):
-            if y in used or not fits(x, y, fwd):
-                continue
-            fwd[x] = y
+            trials.pop()
+            continue
+        if order[i] in fwd:
+            used.discard(fwd.pop(order[i]))
+        y = next(trials[i], None)
+        if y is None:
+            trials.pop()
+        else:
+            fwd[order[i]] = y
             used.add(y)
-            if extend(i + 1, fwd, used):
-                return True
-            del fwd[x]
-            used.discard(y)
-        return False
-
-    extend(0, {}, set())
+            trials.append(images(i + 1))
     if not found:
         return None
     if len(found) > 1:

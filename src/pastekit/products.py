@@ -99,12 +99,6 @@ class LabelledComplex:
         if missing:
             raise ProductError(f"{self.shape.name}: unlabelled elements {missing[:3]}")
 
-    def label(self, eid: str) -> str:
-        return self.labels[eid]
-
-    def relabelled(self, labels: Mapping[str, str]) -> "LabelledComplex":
-        return LabelledComplex(self.shape, labels, self.pairs)
-
 
 def gray_labelled(
     x: LabelledComplex, y: LabelledComplex, sep: str = "⊗", name: str | None = None

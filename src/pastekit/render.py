@@ -84,7 +84,10 @@ def export_svg_2diagram(
         raise ValueError("string diagrams render up to dimension 2")
     names = names or {}
     whole = cx.whole()
-    cells = normal_order_of_subset(cx, whole) if cx.dim == 2 else ()
+    try:
+        cells = normal_order_of_subset(cx, whole) if cx.dim == 2 else ()
+    except RuntimeError as exc:
+        raise ValueError(f"{cx.name}: cannot lay out as a string diagram: {exc}") from exc
     layer = _wire_sequence(cx, cx.boundary(whole, 1, MINUS)) if cx.dim >= 1 else []
     layers = [layer]
     placements = []

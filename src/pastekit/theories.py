@@ -2,14 +2,23 @@
 
 Presentations are symbolic: sorts, generator operations with input/output
 words, and relations as pairs of layered 2-cells (one operation or crossing
-per slice).  The tensor of two planar theories is a braided theory whose
-extra relations run each pair of operations past one another; nothing here
-solves word problems.
+per slice); nothing here solves word problems.
+
+The tensor T ⊗ S of two planar theories is a braided theory on the sorts
+a⊗c.  Each theory's generators and relations are indexed by the other's
+sorts (φ⊗c for every sort c of S, a⊗ψ for every sort a of T), and each
+generator pair φ, ψ adds one interchange relation φ⊗ψ running the two
+operations past one another, the crossing side (ψ first, then φ) listed
+first.  `prop_quotient` makes a braided theory symmetric by equating each
+crossing with its inverse; given the tensor context (T, S) it also declares
+the crossings σ[a,b]⊗c and a⊗σ[c,d] of the factors as generators and
+identifies each with the braiding on its two wires.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from functools import partial
+from typing import Callable, Mapping, Sequence
 
 from .ogp import MINUS
 from .products import (
@@ -166,26 +175,24 @@ def unit_cell(word: Word) -> Layered2Cell:
     return Layered2Cell(tuple(word), ())
 
 
-def stack(*cells: Layered2Cell) -> Layered2Cell:
-    """Vertical composition of layered cells (targets must chain, unchecked
-    here; `target` performs checking when signatures are known)."""
-    if not cells:
-        raise TheoryError("empty stack")
-    slices: tuple[Slice, ...] = ()
-    for c in cells:
-        slices += c.slices
-    return Layered2Cell(cells[0].source, slices)
-
-
 def sigma_expr(s: Permutation, w: Sequence[str]) -> Layered2Cell:
     """The positive-crossing braid word realising a permutation on a word."""
-    return _braiding_cell(s, tuple(w))
+    source = tuple(w)
+    if s.n != len(source):
+        raise TheoryError("permutation and word lengths differ")
+    slices = []
+    word = source
+    for k in perm_decompose(s):
+        a, b = word[k - 1], word[k]
+        slices.append(Slice(word[: k - 1], Braid(a, b), word[k + 1 :]))
+        word = word[: k - 1] + (b, a) + word[k + 1 :]
+    return Layered2Cell(source, tuple(slices))
 
 
 def sigma_star_expr(s: Permutation, w: Sequence[str]) -> Layered2Cell:
     """The inverse-crossing realisation: the formal inverse of the positive
     word for the inverse permutation."""
-    forward = _braiding_cell(s.inverse(), _permute_word(s, tuple(w)))
+    forward = sigma_expr(s.inverse(), tuple(w[s(j) - 1] for j in range(1, s.n + 1)))
     # invert: reverse the slices and flip every crossing
     word = tuple(w)
     slices = []
@@ -196,22 +203,6 @@ def sigma_star_expr(s: Permutation, w: Sequence[str]) -> Layered2Cell:
         slices.append(Slice(word[:k], BraidInv(a, b), word[k + 2 :]))
         word = word[:k] + (b, a) + word[k + 2 :]
     return Layered2Cell(tuple(w), tuple(slices))
-
-
-def _permute_word(s: Permutation, w: Word) -> Word:
-    return tuple(w[s(j) - 1] for j in range(1, s.n + 1))
-
-
-def _braiding_cell(s: Permutation, w: Word) -> Layered2Cell:
-    if s.n != len(w):
-        raise TheoryError("permutation and word lengths differ")
-    slices = []
-    word = w
-    for k in perm_decompose(s):
-        a, b = word[k - 1], word[k]
-        slices.append(Slice(word[: k - 1], Braid(a, b), word[k + 1 :]))
-        word = word[: k - 1] + (b, a) + word[k + 1 :]
-    return Layered2Cell(w, tuple(slices))
 
 
 def wire_permutation(e: Layered2Cell) -> Permutation:
@@ -242,11 +233,7 @@ def block_sigma(
     row_major = tuple(sorts[i][j] for i in range(n) for j in range(m))
     column_major = tuple(sorts[i][j] for j in range(m) for i in range(n))
     # position map sending an entry's row-major slot to its column-major slot
-    to_col = [0] * (n * m)
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            to_col[(i - 1) * m + (j - 1)] = (j - 1) * n + i
-    s = Permutation(tuple(to_col))
+    s = Permutation(tuple(j * n + i + 1 for i in range(n) for j in range(m)))
     sigma = sigma_expr(s, row_major)
     sigma_star = sigma_star_expr(s.inverse(), column_major)
     return sigma, sigma_star
@@ -280,12 +267,6 @@ class ProPresentation:
 
     def signatures(self) -> dict[str, tuple[Word, Word]]:
         return {g.name: (g.inputs, g.outputs) for g in self.generators}
-
-    def generator(self, name: str) -> GenOp:
-        for g in self.generators:
-            if g.name == name:
-                return g
-        raise TheoryError(f"{self.name}: no generator {name!r}")
 
     def check_relations(self) -> None:
         sig = self.signatures()
@@ -326,19 +307,34 @@ def pro_dual(p: ProPresentation, rename: Mapping[str, str] | None = None) -> Pro
     return ProPresentation(f"{p.name}^co", p.sorts, gens, rels, p.braided, p.symmetric)
 
 
-def _parallel_slices(
-    apps: Sequence[tuple[str, Word, Word]]
-) -> tuple[Layered2Cell, Word, Word]:
+def _relabel_cell(cell: Layered2Cell, lab: Callable[[str], str]) -> Layered2Cell:
+    """``cell`` with every sort and every operation name mapped through ``lab``."""
+
+    def word(w: Word) -> Word:
+        return tuple(map(lab, w))
+
+    def op(o: Op) -> Op:
+        return GenRef(lab(o.name)) if isinstance(o, GenRef) else type(o)(lab(o.a), lab(o.b))
+
+    return Layered2Cell(
+        word(cell.source), tuple(Slice(word(s.pre), op(s.op), word(s.post)) for s in cell.slices)
+    )
+
+
+def _indexed_gen(g: GenOp, lab: Callable[[str], str]) -> GenOp:
+    """``g`` with its name and sorts mapped through ``lab``."""
+    return GenOp(lab(g.name), tuple(map(lab, g.inputs)), tuple(map(lab, g.outputs)))
+
+
+def _parallel_slices(gens: Sequence[GenOp]) -> Layered2Cell:
     """Layer a horizontal composite of operations, leftmost applied first."""
-    source = tuple(x for _, i, _ in apps for x in i)
-    target = tuple(x for _, _, o in apps for x in o)
     slices = []
     done: Word = ()
-    for idx, (name, i, o) in enumerate(apps):
-        rest = tuple(x for _, i2, _ in apps[idx + 1 :] for x in i2)
-        slices.append(Slice(done, GenRef(name), rest))
-        done += o
-    return Layered2Cell(source, tuple(slices)), source, target
+    for idx, g in enumerate(gens):
+        rest = tuple(x for g2 in gens[idx + 1 :] for x in g2.inputs)
+        slices.append(Slice(done, GenRef(g.name), rest))
+        done += g.outputs
+    return Layered2Cell(tuple(x for g in gens for x in g.inputs), tuple(slices))
 
 
 def tensor_pros(t: ProPresentation, s: ProPresentation, sep: str = "⊗") -> ProPresentation:
@@ -348,72 +344,23 @@ def tensor_pros(t: ProPresentation, s: ProPresentation, sep: str = "⊗") -> Pro
     by the other's sorts, and every generator pair contributes the equation
     running one operation past the other, the crossing side listed first.
     """
-    sorts = tuple(pair_id(a, c, sep) for a in t.sorts for c in s.sorts)
-    gens: list[GenOp] = []
-    for g in t.generators:
-        for c in s.sorts:
-            gens.append(
-                GenOp(
-                    pair_id(g.name, c, sep),
-                    tuple(pair_id(a, c, sep) for a in g.inputs),
-                    tuple(pair_id(a, c, sep) for a in g.outputs),
-                )
-            )
-    for a in t.sorts:
-        for g in s.generators:
-            gens.append(
-                GenOp(
-                    pair_id(a, g.name, sep),
-                    tuple(pair_id(a, c, sep) for c in g.inputs),
-                    tuple(pair_id(a, c, sep) for c in g.outputs),
-                )
-            )
-    rels: list[Relation] = []
+    on_t = [partial(pair_id, y=c, sep=sep) for c in s.sorts]  # x ↦ x⊗c
+    on_s = [partial(pair_id, a, sep=sep) for a in t.sorts]  # x ↦ a⊗x
 
-    def relabel_cell(c: Layered2Cell, left: str | None, right: str | None) -> Layered2Cell:
-        def lab(x: str) -> str:
-            return pair_id(x, right, sep) if right is not None else pair_id(left, x, sep)
+    def rel(r: Relation, lab: Callable[[str], str]) -> Relation:
+        return Relation(lab(r.name), _relabel_cell(r.lhs, lab), _relabel_cell(r.rhs, lab))
 
-        def lab_op(op: Op) -> Op:
-            if isinstance(op, GenRef):
-                return GenRef(lab(op.name))
-            if isinstance(op, Braid):
-                return Braid(lab(op.a), lab(op.b))
-            return BraidInv(lab(op.a), lab(op.b))
-
-        return Layered2Cell(
-            tuple(lab(x) for x in c.source),
-            tuple(
-                Slice(tuple(lab(x) for x in sl.pre), lab_op(sl.op), tuple(lab(x) for x in sl.post))
-                for sl in c.slices
-            ),
-        )
-
-    for r in t.relations:
-        for c in s.sorts:
-            rels.append(
-                Relation(
-                    pair_id(r.name, c, sep),
-                    relabel_cell(r.lhs, None, c),
-                    relabel_cell(r.rhs, None, c),
-                )
-            )
-    for a in t.sorts:
-        for r in s.relations:
-            rels.append(
-                Relation(
-                    pair_id(a, r.name, sep),
-                    relabel_cell(r.lhs, a, None),
-                    relabel_cell(r.rhs, a, None),
-                )
-            )
-
-    for phi in t.generators:
-        for psi in s.generators:
-            rels.append(_interchange_relation(phi, psi, sep))
-
+    gens = [_indexed_gen(g, lab) for g in t.generators for lab in on_t]
+    gens += [_indexed_gen(g, lab) for lab in on_s for g in s.generators]
+    rels = [rel(r, lab) for r in t.relations for lab in on_t]
+    rels += [rel(r, lab) for lab in on_s for r in s.relations]
+    rels += [_interchange_relation(phi, psi, sep) for phi in t.generators for psi in s.generators]
     out = ProPresentation(
-        pair_id(t.name, s.name, sep), sorts, tuple(gens), tuple(rels), braided=True
+        pair_id(t.name, s.name, sep),
+        tuple(pair_id(a, c, sep) for a in t.sorts for c in s.sorts),
+        tuple(gens),
+        tuple(rels),
+        braided=True,
     )
     out.check_relations()
     return out
@@ -422,41 +369,28 @@ def tensor_pros(t: ProPresentation, s: ProPresentation, sep: str = "⊗") -> Pro
 def _interchange_relation(phi: GenOp, psi: GenOp, sep: str) -> Relation:
     a, b = phi.inputs, phi.outputs
     c, d = psi.inputs, psi.outputs
-    n, m, p, q = len(a), len(b), len(c), len(d)
+
+    def phi_on(wires: Word) -> Layered2Cell:  # φ⊗w for each sort w
+        return _parallel_slices([_indexed_gen(phi, partial(pair_id, y=w, sep=sep)) for w in wires])
+
+    def psi_on(wires: Word) -> Layered2Cell:  # w⊗ψ for each sort w
+        return _parallel_slices([_indexed_gen(psi, partial(pair_id, w, sep=sep)) for w in wires])
 
     def grid(rows: Word, cols: Word) -> list[list[str]]:
         return [[pair_id(r, cl, sep) for cl in cols] for r in rows]
 
     # crossing side: the second theory's operation on every first-sort wire,
     # reorder, the first theory's operation on every second-sort wire, reorder
-    left_apps = [
-        (pair_id(a[i], psi.name, sep), tuple(pair_id(a[i], ck, sep) for ck in c), tuple(pair_id(a[i], dl, sep) for dl in d))
-        for i in range(n)
-    ]
-    lhs_1, lhs_src, _ = _parallel_slices(left_apps)
-    sg, _ = block_sigma(n, q, grid(a, d))
-    mid_apps = [
-        (pair_id(phi.name, d[l], sep), tuple(pair_id(ai, d[l], sep) for ai in a), tuple(pair_id(bj, d[l], sep) for bj in b))
-        for l in range(q)
-    ]
-    lhs_3, _, _ = _parallel_slices(mid_apps)
-    _, sg_star = block_sigma(m, q, grid(b, d))
-    lhs = Layered2Cell(lhs_src, lhs_1.slices + sg.slices + lhs_3.slices + sg_star.slices)
+    first = psi_on(a)
+    sg, _ = block_sigma(len(a), len(d), grid(a, d))
+    _, sg_star = block_sigma(len(b), len(d), grid(b, d))
+    lhs = Layered2Cell(first.source, first.slices + sg.slices + phi_on(d).slices + sg_star.slices)
 
-    sg2, _ = block_sigma(n, p, grid(a, c))
-    first_apps = [
-        (pair_id(phi.name, c[k], sep), tuple(pair_id(ai, c[k], sep) for ai in a), tuple(pair_id(bj, c[k], sep) for bj in b))
-        for k in range(p)
-    ]
-    rhs_2, _, _ = _parallel_slices(first_apps)
-    _, sg2_star = block_sigma(m, p, grid(b, c))
-    last_apps = [
-        (pair_id(b[j], psi.name, sep), tuple(pair_id(b[j], ck, sep) for ck in c), tuple(pair_id(b[j], dl, sep) for dl in d))
-        for j in range(m)
-    ]
-    rhs_4, _, _ = _parallel_slices(last_apps)
-    rhs_src = tuple(pair_id(ai, ck, sep) for ai in a for ck in c)
-    rhs = Layered2Cell(rhs_src, sg2.slices + rhs_2.slices + sg2_star.slices + rhs_4.slices)
+    sg2, _ = block_sigma(len(a), len(c), grid(a, c))
+    _, sg2_star = block_sigma(len(b), len(c), grid(b, c))
+    rhs = Layered2Cell(
+        first.source, sg2.slices + phi_on(c).slices + sg2_star.slices + psi_on(b).slices
+    )
     return Relation(pair_id(phi.name, psi.name, sep), lhs, rhs)
 
 
@@ -467,61 +401,50 @@ def prop_quotient(
 ) -> ProPresentation:
     """Pass from a braided to a symmetric presentation.
 
-    Adds the crossing-equals-inverse-crossing relation for every sort pair,
-    and, when the braided theory arose as a tensor of symmetric theories,
-    the relations identifying their original crossings with the new ones.
-    Idempotent: existing relation names are not duplicated.
+    Adds the crossing-equals-inverse-crossing relation for every sort pair.
+    When the braided theory arose as the tensor of symmetric theories T, S,
+    it also declares their crossings σ[a,b]⊗c and a⊗σ[c,d] as generators and
+    adds the relations identifying each with the new crossing on its wires.
+    Idempotent: existing generator and relation names are not duplicated.
     """
     if not p.braided:
         raise TheoryError("prop quotient applies to braided presentations")
-    have = {r.name for r in p.relations}
-    rels = list(p.relations)
-    for a in p.sorts:
-        for b in p.sorts:
-            nm = f"σ[{a},{b}]=σ*[{a},{b}]"
-            if nm in have:
-                continue
-            have.add(nm)
-            rels.append(
-                Relation(
-                    nm,
-                    Layered2Cell((a, b), (Slice((), Braid(a, b), ()),)),
-                    Layered2Cell((a, b), (Slice((), BraidInv(a, b), ()),)),
-                )
-            )
+    gens = list(p.generators)
+    # candidates (name, wires, lhs op, rhs op), each a one-slice relation
+    cands: list[tuple[str, Word, Op, Op]] = [
+        (f"σ[{a},{b}]=σ*[{a},{b}]", (a, b), Braid(a, b), BraidInv(a, b))
+        for a in p.sorts
+        for b in p.sorts
+    ]
     if tensor_of_props is not None:
         t, s = tensor_of_props
-        for a in t.sorts:
-            for b in t.sorts:
-                for c in s.sorts:
-                    nm = f"σ[{a},{b}]{sep}{c}"
-                    if nm in have:
-                        continue
-                    have.add(nm)
-                    ac, bc = pair_id(a, c, sep), pair_id(b, c, sep)
-                    rels.append(
-                        Relation(
-                            nm,
-                            Layered2Cell((ac, bc), (Slice((), GenRef(nm), ()),)),
-                            Layered2Cell((ac, bc), (Slice((), Braid(ac, bc), ()),)),
-                        )
-                    )
-        for a in t.sorts:
-            for c in s.sorts:
-                for d in s.sorts:
-                    nm = f"{a}{sep}σ[{c},{d}]"
-                    if nm in have:
-                        continue
-                    have.add(nm)
-                    ac, ad = pair_id(a, c, sep), pair_id(a, d, sep)
-                    rels.append(
-                        Relation(
-                            nm,
-                            Layered2Cell((ac, ad), (Slice((), GenRef(nm), ()),)),
-                            Layered2Cell((ac, ad), (Slice((), Braid(ac, ad), ()),)),
-                        )
-                    )
-    return replace(p, relations=tuple(rels), symmetric=True)
+        # the factors' crossings (name, first wire, second wire)
+        crossings = [
+            (f"σ[{a},{b}]{sep}{c}", pair_id(a, c, sep), pair_id(b, c, sep))
+            for a in t.sorts
+            for b in t.sorts
+            for c in s.sorts
+        ]
+        crossings += [
+            (f"{a}{sep}σ[{c},{d}]", pair_id(a, c, sep), pair_id(a, d, sep))
+            for a in t.sorts
+            for c in s.sorts
+            for d in s.sorts
+        ]
+        declared = {g.name for g in gens}
+        gens += [GenOp(nm, (x, y), (y, x)) for nm, x, y in crossings if nm not in declared]
+        cands += [(nm, (x, y), GenRef(nm), Braid(x, y)) for nm, x, y in crossings]
+    have = {r.name for r in p.relations}
+    rels = list(p.relations)
+    for nm, wires, lhs, rhs in cands:
+        if nm not in have:
+            have.add(nm)
+            rels.append(Relation(nm, _one_slice(wires, lhs), _one_slice(wires, rhs)))
+    return replace(p, generators=tuple(gens), relations=tuple(rels), symmetric=True)
+
+
+def _one_slice(wires: Word, op: Op) -> Layered2Cell:
+    return Layered2Cell(wires, (Slice((), op, ()),))
 
 
 # -- diagrammatic complex presentations -----------------------------------------------
@@ -539,14 +462,11 @@ class DiagComplexPresentation:
     name: str
     cells: tuple[DiagCell, ...]
 
-    def by_dim(self) -> dict[int, list[DiagCell]]:
-        out: dict[int, list[DiagCell]] = {}
-        for c in self.cells:
-            out.setdefault(c.dim, []).append(c)
-        return dict(sorted(out.items()))
-
     def inventory(self) -> dict[int, list[str]]:
-        return {d: [c.name for c in cs] for d, cs in self.by_dim().items()}
+        out: dict[int, list[str]] = {}
+        for c in self.cells:
+            out.setdefault(c.dim, []).append(c.name)
+        return dict(sorted(out.items()))
 
     def cell(self, name: str) -> DiagCell:
         for c in self.cells:
@@ -599,9 +519,7 @@ def presentation_of_smash(
             lab = smash_collapse(gray_labelled(cx_.cell, cy.cell, sep))
             cells.append(DiagCell(pair_id(cx_.name, cy.name, sep), cx_.dim + cy.dim, lab))
     out = DiagComplexPresentation(pair_id(x.name, y.name, sep), tuple(cells))
-    gx = {d: [c.name for c in cs] for d, cs in x.by_dim().items()}
-    gy = {d: [c.name for c in cs] for d, cs in y.by_dim().items()}
-    want = smash_generators(gx, gy, sep)
+    want = smash_generators(x.inventory(), y.inventory(), sep)
     have = {d: sorted(ns) for d, ns in out.inventory().items()}
     if have != want:
         raise TheoryError("smash inventory disagrees with the generator count formula")
@@ -691,17 +609,20 @@ def _mon_complex() -> DiagComplexPresentation:
     return out
 
 
+# the comonoid's names for the monoid's generators and relations
+_CO_NAMES = {"μ": "δ", "η": "ε", "α": "α*", "λ": "λ*", "ρ": "ρ*"}
+
+
 def _comon_complex() -> DiagComplexPresentation:
     base = _mon_complex()
-    rename = {"μ": "δ", "η": "ε", "α": "α*", "λ": "λ*", "ρ": "ρ*"}
     cells = []
     for c in base.cells:
         if c.dim == 0:
             cells.append(c)
             continue
         shape = c.cell.shape.dual(dims={2}, name=c.cell.shape.name + "co")
-        labels = {x: rename.get(l, l) for x, l in c.cell.labels.items()}
-        cells.append(DiagCell(rename.get(c.name, c.name), c.dim, LabelledComplex(shape, labels)))
+        labels = {x: _CO_NAMES.get(l, l) for x, l in c.cell.labels.items()}
+        cells.append(DiagCell(_CO_NAMES.get(c.name, c.name), c.dim, LabelledComplex(shape, labels)))
     out = DiagComplexPresentation("coMonComplex", tuple(cells))
     out.check()
     return out
@@ -761,9 +682,7 @@ def _bialg_expected(sep: str = "⊗") -> ProPresentation:
 _BUILTINS = {
     "N": lambda: ProPresentation("N", ("1",), ()),
     "Mon": _mon_presentation,
-    "coMon": lambda: pro_dual(
-        _mon_presentation(), {"μ": "δ", "η": "ε", "α": "α*", "λ": "λ*", "ρ": "ρ*"}
-    ),
+    "coMon": lambda: pro_dual(_mon_presentation(), _CO_NAMES),
     "MonComplex": _mon_complex,
     "coMonComplex": _comon_complex,
     "BialgExpected": _bialg_expected,

@@ -6,8 +6,9 @@ a certificate.  These sha256 digests pin all of that on the shipped
 fixtures, a fixed-seed corpus of random molecules, and the substitution
 inside power's collapse, so a change to the gluing step cannot rename,
 reorder or re-certify anything unnoticed.  Gray products of the test
-factors, the Mon∧Mon smash presentation and the interchanger calculus's
-composites are pinned the same way.
+factors, the Mon∧Mon smash presentation, the interchanger calculus's
+composites and the tensors of the shipped theories with their symmetric
+quotients are pinned the same way.
 """
 import hashlib
 import json
@@ -31,11 +32,18 @@ from pastekit import (
     interval_chain,
     k_order,
     presentation_of_smash,
+    prop_quotient,
     recognize,
+    tensor_pros,
     u_cell,
 )
 from pastekit.fixtures import fixture_files, frob, power
-from pastekit.serialize import serialize_complex, serialize_diag_presentation, serialize_expr
+from pastekit.serialize import (
+    serialize_complex,
+    serialize_diag_presentation,
+    serialize_expr,
+    serialize_presentation,
+)
 
 
 def digest(u: Molecule) -> str:
@@ -162,3 +170,51 @@ def test_graycat_expr_digests():
     eq = four_cell_equation(recognize(square, square.whole()))
     got["four_cell/lhs"], got["four_cell/rhs"] = eq.lhs, eq.rhs
     assert {k: hashlib.sha256(serialize_expr(e)).hexdigest() for k, e in got.items()} == GRAYCAT_DIGESTS
+
+
+THEORIES = ("N", "Mon", "coMon", "BialgExpected")
+
+TENSOR_DIGESTS = {
+    "tensor/N/N": "ec9068ae92008cdde8eedbf0dc448f2154683c3bcd3bbeadc0c720897b0855b3",
+    "quotient/N/N": "b3e9fda8e8bc41e2efca05e417e4563a711e30d105c5f1c49abf691bf5cb7085",
+    "tensor/N/Mon": "2a767b96b6fa1d8693d09aede99ee3ad97ecd63c8ebc99b2adccf77b98574b32",
+    "quotient/N/Mon": "21072ff97da696ce8c330f6c493c262fd63f5e71c005f04e9e98000cfa107e4d",
+    "tensor/N/coMon": "f0b2aac6275a5e6d072652cc1090ee7323c63f7951a39f0ba898db65f066f8aa",
+    "quotient/N/coMon": "39586f9876ad1e03fe9c8dfea61760b23ee0f8f7b22dc33462bc9cbc1ce38174",
+    "tensor/N/BialgExpected": "4be7ea0294a96b41658408a53df8fa6e95698c4481715c1e570021d68d9ab76c",
+    "quotient/N/BialgExpected": "1f0c6f012543718dd4771c1aa3548e2c28cd0a1d2fd2026a5d99129f3063221a",
+    "tensor/Mon/N": "408fd25b04923f353ef0d5314e5bd7dcdf5b3537615be43f20b5fb3802e13094",
+    "quotient/Mon/N": "9b4f22b35ef07bcf0ea3ae6a75b54613d383d6e53ba0e840c65845d484544deb",
+    "tensor/Mon/Mon": "d254f4f3ade46f9482708d0e43055ca36a7cb484d15b9702310f75da5c4c05ce",
+    "quotient/Mon/Mon": "6c7821781430e4a90ce808c34e613fc14f19796dc8faa20c1c7993cbb7c830a5",
+    "tensor/Mon/coMon": "9818413ce39fc0860946464bc7d623594eaaa5f4c722b1747cd44ff39bcbcda3",
+    "quotient/Mon/coMon": "b9cdcda010dd793a1900d3679a0ad1e46423dbc9bd5a2aef3f8aef7572d77293",
+    "tensor/Mon/BialgExpected": "fa73d5fc1b82be3a8dc2ee6caf6462a2ba932b5ae5b3a0b6ab8994568288931c",
+    "quotient/Mon/BialgExpected": "2645af26084005ef32681f8de38d3b9404768dc4a314387a6a8d676d0c3e7640",
+    "tensor/coMon/N": "b3742807b9b771df3d38677f1c2f498b3f8eb6274b94939558a21ff14aa71bf7",
+    "quotient/coMon/N": "4660e957db2204b01213c69e2e8e10347c36aad78fee1d05e16f89f7d806dbdb",
+    "tensor/coMon/Mon": "492bdd23ce78ad13db12dec51173eebb65da2beca56fa7ff97aa8123657a705b",
+    "quotient/coMon/Mon": "62d1fb5160cceed266f7b5d03c787a62fc4250301bbdf1e00bc40149bf9e1d06",
+    "tensor/coMon/coMon": "3d8e8f76f580b5229a62086a893ca16bb1326b906cdc8e714e6c598f00561c5f",
+    "quotient/coMon/coMon": "7bc838f930fb75078cfbbdb8cd10c3393105bde547540e0000080db63730af8d",
+    "tensor/coMon/BialgExpected": "d9a3b8277256692d1b6ad756d7060b9100067d557ca0f9ce394bc6e4a3fad205",
+    "quotient/coMon/BialgExpected": "16824826f392c1091fb816a9a5f95b337919ed69631c7b7f86178c8676c30d3a",
+    "tensor/BialgExpected/N": "c73fa578f101bcaac96ef81d77f7e2e747c45b32bc1fe88080744be876041f95",
+    "quotient/BialgExpected/N": "770de1bab726caa507f07356dd20cc8d7e929fd1118cdf6f3f0d81e4da34f0a2",
+    "tensor/BialgExpected/Mon": "292e99cf767893cf365ed24cea178e05b18c1ca8fa7ba25196a77ae6b3f8137d",
+    "quotient/BialgExpected/Mon": "25d576dc8162116fb7339ac79176fec2435a3bdf9503e6c0f362d1094f8c8564",
+    "tensor/BialgExpected/coMon": "55237b562891ea112ad4eaa618dc1c37d75f351c98b55c4de90cdc698968a91c",
+    "quotient/BialgExpected/coMon": "21c50154b426d2bb1127c7eb8c3ffe95d6abcfb55dfbb4a3f0f41e12d12733fc",
+    "tensor/BialgExpected/BialgExpected": "2fb08f3aaaa9105fae88ab89ee1e80ce488c0ec4b6fa1d9596e83363f29e09ed",
+    "quotient/BialgExpected/BialgExpected": "8d4f6d66418152fe42aba55d8d15e6ccbee0926131041d1ee32002d4d41c9eaf",
+}
+
+
+def test_tensor_and_quotient_digests():
+    got = {}
+    for t in THEORIES:
+        for s in THEORIES:
+            tensor = tensor_pros(builtin(t), builtin(s))
+            got[f"tensor/{t}/{s}"] = tensor
+            got[f"quotient/{t}/{s}"] = prop_quotient(tensor)
+    assert {k: hashlib.sha256(serialize_presentation(p)).hexdigest() for k, p in got.items()} == TENSOR_DIGESTS

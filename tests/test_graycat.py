@@ -332,6 +332,8 @@ def test_cells_outside_the_support_raise_expression_error():
         apply_step(cx, ghost, swap)
     with pytest.raises(ExpressionError, match="ghost"):
         nf_target(GrayExpr3(cx, ghost, (swap,)))
+    with pytest.raises(ExpressionError, match="'ghost' is not a cell of the support"):
+        inversion_weight(cx, ghost)
     nf = TwoCellNF(row.members, order)
     with pytest.raises(ExpressionError, match="ghost"):
         apply_step(cx, nf, GenApp("ghost", (), ()))

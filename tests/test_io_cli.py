@@ -376,6 +376,20 @@ def test_cli_maxd_and_export(fixture_dir, capsys):
     assert main(["export", str(fixture_dir / "frob.json"), "--format", "svg"]) == 1
 
 
+def test_cli_svg_rejects_cells_without_a_total_order(fixture_dir, tmp_path, capsys):
+    doc = json.loads((fixture_dir / "o2.json").read_bytes())
+    # two disjoint 2-globes: neither 2-cell precedes the other
+    copy = lambda e, p: {**e, "id": p + e["id"], "covers": [{**c, "id": p + c["id"]} for c in e["covers"]]}
+    doc["elements"] = [copy(e, p) for p in ("a", "b") for e in doc["elements"]]
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(doc))
+    assert main(["export", str(path), "--format", "svg"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert "string diagram" in captured.err
+
+
 def test_cli_fixtures_lists(capsys):
     assert main(["fixtures"]) == 0
     names = capsys.readouterr().out.split()

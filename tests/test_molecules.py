@@ -300,6 +300,7 @@ def test_certificate_ok_rejects_wrong_trees():
 
 def test_certificate_walks_do_not_recurse_per_node():
     u = interval_chain(300)  # its certificate is 299 pasting nodes deep
+    twin = interval_chain(300)
     frame, depth = sys._getframe(), 0
     while frame is not None:
         frame, depth = frame.f_back, depth + 1
@@ -309,9 +310,11 @@ def test_certificate_walks_do_not_recurse_per_node():
         assert certificate_ok(u)
         assert certificate_json(u)["paste"]["k"] == 0
         longer = paste(u, globe_molecule(1), 0)
+        iso = unique_iso(u, twin)  # the search matches 599 elements deep
     finally:
         sys.setrecursionlimit(limit)
     assert len(longer.members) == len(u.members) + 2
+    assert iso is not None and len(iso) == len(u.members)
 
 
 def test_paste_associative_at_level_one():

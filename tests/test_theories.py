@@ -21,6 +21,7 @@ from pastekit import (
     tensor_pros,
     wire_permutation,
 )
+from pastekit.serialize import parse_presentation, serialize_presentation
 from pastekit.theories import Braid, BraidInv, Layered2Cell, Slice
 
 
@@ -178,6 +179,14 @@ def test_prop_quotient_with_tensor_context():
     sym = prop_quotient(brc, tensor_of_props=(mon, mon))
     names = {r.name for r in sym.relations}
     assert "σ[1,1]⊗1" in names and "1⊗σ[1,1]" in names
+    # the factors' crossings are declared, so every relation checks and the
+    # serialized form parses back to the same bytes
+    crossings = [g for g in sym.generators if g.name in ("σ[1,1]⊗1", "1⊗σ[1,1]")]
+    assert [(g.inputs, g.outputs) for g in crossings] == [(("1⊗1", "1⊗1"),) * 2] * 2
+    sym.check_relations()
+    blob = serialize_presentation(sym)
+    assert serialize_presentation(parse_presentation(blob)) == blob
+    assert prop_quotient(sym, tensor_of_props=(mon, mon)) == sym
 
 
 def test_prop_quotient_needs_braiding():
