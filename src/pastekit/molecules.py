@@ -262,19 +262,33 @@ def _glue(
     return table, left_map, right_map
 
 
+def _mismatch(acx: Complex, a: frozenset[str], bcx: Complex, b: frozenset[str]) -> str:
+    """Where two non-isomorphic subsets first differ, for error messages:
+    the first position of their sorted element dimensions that disagrees."""
+    da = sorted(acx.dim_of(x) for x in a)
+    db = sorted(bcx.dim_of(x) for x in b)
+    stratum = next(
+        (n for n in range(max(len(da), len(db))) if n >= len(da) or n >= len(db) or da[n] != db[n]),
+        None,
+    )
+    return f"first mismatch in stratum {stratum}, sizes {len(a)} vs {len(b)}"
+
+
 def _sphere_iso(
-    u: Molecule, v: Molecule, k: int, differ: Callable[[str], Exception], disagree: str
+    u: Molecule, v: Molecule, k: int, differ: Callable[[str, str], Exception], disagree: str
 ) -> dict[str, str]:
     """The isomorphism of both signed k-boundaries of ``u`` onto those of ``v``.
 
-    Raises ``differ(sign)`` when a pair of boundaries is not isomorphic, and
-    ``RuntimeError(disagree)`` when the two halves disagree where they meet.
+    Raises ``differ(sign, mismatch)`` when a pair of boundaries is not
+    isomorphic, and ``RuntimeError(disagree)`` when the two halves disagree
+    where they meet.
     """
     iso: dict[str, str] = {}
     for sign in SIGNS:
-        part = unique_iso((u.complex, u.boundary(k, sign)), (v.complex, v.boundary(k, sign)))
+        a, b = u.boundary(k, sign), v.boundary(k, sign)
+        part = unique_iso((u.complex, a), (v.complex, b))
         if part is None:
-            raise differ(sign)
+            raise differ(sign, _mismatch(u.complex, a, v.complex, b))
         for x, y in part.items():
             if iso.get(x, y) != y:
                 raise RuntimeError(disagree)
@@ -295,16 +309,9 @@ def paste(u1: Molecule, u2: Molecule, k: int, name: str | None = None) -> Molecu
     b2 = u2.boundary(k, MINUS)
     iso = unique_iso((u1.complex, b1), (u2.complex, b2))
     if iso is None:
-        d1 = sorted(u1.complex.dim_of(x) for x in b1)
-        d2 = sorted(u2.complex.dim_of(x) for x in b2)
-        stratum = next(
-            (n for n in range(max(len(d1), len(d2))) if n >= len(d1) or n >= len(d2) or d1[n] != d2[n]),
-            None,
-        )
         raise PastingError(
             f"cannot paste {u1.complex.name} and {u2.complex.name} at {k}: "
-            f"boundaries not isomorphic (first mismatch in stratum {stratum}, "
-            f"sizes {len(b1)} vs {len(b2)})"
+            f"boundaries not isomorphic ({_mismatch(u1.complex, b1, u2.complex, b2)})"
         )
     table, left_map, right_map = _glue(
         u1.complex, u1.members, u2.complex, u2.members, {y: x for x, y in iso.items()}
@@ -350,7 +357,9 @@ def cell_to(u: Molecule, v: Molecule, name: str | None = None, top: str = "top")
         u,
         v,
         n - 1,
-        lambda sign: PastingError(f"cell_to: {sign}-boundaries of {u.complex.name} and {v.complex.name} differ"),
+        lambda sign, mismatch: PastingError(
+            f"cell_to: {sign}-boundaries of {u.complex.name} and {v.complex.name} differ ({mismatch})"
+        ),
         "boundary isomorphisms disagree on the shared sphere",
     )
     ident = {y: x for x, y in iso.items()}
@@ -413,7 +422,7 @@ def substitute(u: Molecule, v_members: frozenset[str], w: Molecule, name: str | 
         w,
         v,
         k - 1,
-        lambda sign: SubstitutionError(f"{sign}-boundaries of site and replacement differ"),
+        lambda sign, mismatch: SubstitutionError(f"{sign}-boundaries of site and replacement differ ({mismatch})"),
         "substitution boundary isomorphisms disagree",
     )
     v_boundary = cx.boundary(v_members, k - 1, MINUS) | cx.boundary(v_members, k - 1, PLUS)
@@ -536,12 +545,8 @@ def enumerate_molecules(cx: Complex, max_count: int = 10_000) -> tuple[list[Mole
     by_bminus: dict[tuple[int, frozenset[str]], list[frozenset[str]]] = {}
     by_bplus: dict[tuple[int, frozenset[str]], list[frozenset[str]]] = {}
     top = cx.dim
-
-    def boundaries(m: frozenset[str]):
-        for k in range(top):
-            yield k, cx.boundary(m, k, MINUS), cx.boundary(m, k, PLUS)
-
-    work: list[frozenset[str]] = []
+    # each set's boundaries live on the work stack only until it is popped
+    work: list[tuple[frozenset[str], list[tuple[frozenset[str], frozenset[str]]]]] = []
     truncated = False
 
     def add(members: frozenset[str], cert: Atom | Pasting) -> None:
@@ -552,17 +557,18 @@ def enumerate_molecules(cx: Complex, max_count: int = 10_000) -> tuple[list[Mole
             truncated = True
             return
         pool[members] = cert
-        work.append(members)
-        for k, bm, bp in boundaries(members):
+        bds = cx._boundaries(members, top)
+        work.append((members, bds))
+        for k, (bm, bp) in enumerate(bds):
             by_bminus.setdefault((k, bm), []).append(members)
             by_bplus.setdefault((k, bp), []).append(members)
 
     for x in cx.elements():
         add(cx.closure([x]), Atom(x))
     while work and not truncated:
-        m = work.pop()
+        m, bds = work.pop()
         cert = pool[m]
-        for k, bm, bp in boundaries(m):
+        for k, (bm, bp) in enumerate(bds):
             for other in list(by_bminus.get((k, bp), ())):
                 if other & m == bp:
                     joined = other | m

@@ -46,10 +46,15 @@ class Complex:
       of dimension 0 covers none;
     * no element covers the same target twice (no parallel Hasse edges).
 
-    Instances are immutable after construction and safe to share.
+    Instances are immutable after construction and safe to share.  Derived
+    per-element facts (each element's downset and the boundaries of its
+    closure) are cached lazily on the instance; they only save
+    recomputation and never change a result.
     """
 
-    __slots__ = ("name", "_dim", "_covers", "_cofaces", "_ids", "_by_dim", "_top_dim")
+    __slots__ = (
+        "name", "_dim", "_covers", "_cofaces", "_ids", "_by_dim", "_top_dim", "_down", "_atom_bd"
+    )
 
     def __init__(self, name: str, elements: Mapping[str, tuple[int, Iterable[tuple[str, str]]]]):
         self.name = name
@@ -89,6 +94,8 @@ class Complex:
             by_dim.setdefault(dims[eid], []).append(eid)
         self._by_dim = {d: tuple(v) for d, v in by_dim.items()}
         self._top_dim = max(by_dim) if by_dim else -1
+        self._down: dict[str, frozenset[str]] = {}
+        self._atom_bd: dict[tuple[str, int, str | None], frozenset[str]] = {}
 
     # -- basic queries ----------------------------------------------------
 
@@ -131,29 +138,83 @@ class Complex:
 
     # -- subsets ----------------------------------------------------------
 
+    def _downset(self, x: str) -> frozenset[str]:
+        """``closure([x])``, built from the covers' cached downsets."""
+        down = self._down
+        got = down.get(x)
+        if got is not None:
+            return got
+        stack = [x]
+        while stack:
+            y = stack[-1]
+            if y in down:
+                stack.pop()
+                continue
+            missing = [t for t, _ in self._covers[y] if t not in down]
+            if missing:
+                stack.extend(missing)
+                continue
+            stack.pop()
+            down[y] = frozenset((y,)).union(*(down[t] for t, _ in self._covers[y]))
+        return down[x]
+
     def closure(self, members: Iterable[str]) -> frozenset[str]:
         """Smallest downward-closed superset of ``members``."""
-        out: set[str] = set()
-        stack = list(members)
-        for eid in stack:
+        members = tuple(members)
+        for eid in members:
             if eid not in self._dim:
                 raise KeyError(f"{self.name}: unknown element {eid!r}")
-        while stack:
-            x = stack.pop()
-            if x in out:
-                continue
-            out.add(x)
-            stack.extend(t for t, _ in self._covers[x])
+        if len(members) == 1:
+            return self._downset(members[0])
+        out: set[str] = set()
+        for x in members:
+            if x not in out:
+                out |= self._downset(x)
         return frozenset(out)
+
+    def _atom_boundary(self, x: str, n: int, sign: str | None = None) -> frozenset[str]:
+        """``boundary(closure([x]), n, sign)``, cached per element."""
+        key = (x, n, sign)
+        got = self._atom_bd.get(key)
+        if got is None:
+            got = self._atom_bd[key] = self.boundary(self._downset(x), n, sign)
+        return got
+
+    def _boundaries(self, members: frozenset[str], top: int) -> list[tuple[frozenset[str], frozenset[str]]]:
+        """``[(boundary(members, k, -), boundary(members, k, +)) for k < top]``.
+
+        One scan of the coface signs gives both source sets at each level,
+        and the closure of the members above level k, shared by both signs,
+        grows by one dimension per level from the top down.
+        """
+        layers: dict[int, list[str]] = {}
+        for x in members:
+            layers.setdefault(self._dim[x], []).append(x)
+        above: set[str] = set()
+        out: list = [None] * top
+        for k in range(max([top, *layers]) - 1, -1, -1):
+            for x in layers.get(k + 1, ()):
+                if x not in above:
+                    above |= self._downset(x)
+            if k >= top:
+                continue
+            swallowed = members - above
+            minus, plus = [], []
+            for x in layers.get(k, ()):
+                signs = {s for y, s in self._cofaces[x] if y in members}
+                if PLUS not in signs:
+                    minus.append(x)
+                if MINUS not in signs:
+                    plus.append(x)
+            out[k] = (self.closure(minus) | swallowed, self.closure(plus) | swallowed)
+        return out
 
     def is_closed(self, members: frozenset[str]) -> bool:
         return all(t in members for x in members for t, _ in self._covers[x])
 
     def maximal(self, members: frozenset[str]) -> frozenset[str]:
         """Elements of ``members`` not covered by any other member."""
-        return frozenset(
-            x for x in members if not any(y in members for y, _ in self._cofaces[x])
-        )
+        return frozenset(members).difference([t for x in members for t, _ in self._covers[x]])
 
     def source_set(self, members: frozenset[str], n: int, sign: str) -> frozenset[str]:
         """n-dimensional members all of whose covering members carry ``sign``.
@@ -295,12 +356,11 @@ def spherical_boundary(cx: Complex, members: frozenset[str]) -> bool:
 
 
 def globular(cx: Complex, x: str) -> bool:
-    cl = cx.closure([x])
     n = cx.dim_of(x)
     for a in SIGNS:
-        want = cx.boundary(cl, n - 2, a)
+        want = cx._atom_boundary(x, n - 2, a)
         for b in SIGNS:
-            if cx.boundary(cx.boundary(cl, n - 1, b), n - 2, a) != want:
+            if cx.boundary(cx._atom_boundary(x, n - 1, b), n - 2, a) != want:
                 return False
     return True
 
@@ -321,12 +381,10 @@ def validate_complex(cx: Complex) -> ValidationReport:
         n = cx.dim_of(x)
         if n < 1:
             continue
-        cl = cx.closure([x])
-        sph = spherical_boundary(cx, cl)
+        sph = spherical_boundary(cx, cx.closure([x]))
         statuses = {}
         for a in SIGNS:
-            bd = cx.boundary(cl, n - 1, a)
-            res = molecules.recognize(cx, bd)
+            res = molecules.recognize(cx, cx._atom_boundary(x, n - 1, a))
             if res is molecules.UNKNOWN:
                 statuses[a] = UNKNOWN
                 unknowns += 1

@@ -120,12 +120,11 @@ def maxd(cx: Complex, members: frozenset[str], n: int) -> MaxdGraph:
     adj: dict[str, list[str]] = {v: [] for v in low + high}
     low_set = frozenset(low)
     for x in high:
-        cl = cx.closure([x])
-        rim = cx.boundary(cl, n - 1)
-        for y in cx.boundary(cl, n, MINUS) - rim:
+        rim = cx._atom_boundary(x, n - 1)
+        for y in cx._atom_boundary(x, n, MINUS) - rim:
             if y in low_set:
                 adj[y].append(x)
-        for y in cx.boundary(cl, n, PLUS) - rim:
+        for y in cx._atom_boundary(x, n, PLUS) - rim:
             if y in low_set:
                 adj[x].append(y)
     return MaxdGraph(n, low, high, {v: tuple(sorted(set(ws))) for v, ws in adj.items()})
@@ -135,12 +134,14 @@ def frame_dimension(cx: Complex, members: frozenset[str]) -> int:
     """Largest dimension along which two distinct maximal cells overlap."""
     if not members:
         raise ValueError("frame dimension of the empty subset is undefined")
-    maximal = sorted(cx.maximal(members))
-    closures = {x: cx.closure([x]) for x in maximal}
+    # the greatest overlap of a cell with all cells before it is its
+    # overlap with the union of their closures
+    seen: set[str] = set()
     best = -1
-    for i, x in enumerate(maximal):
-        for y in maximal[i + 1 :]:
-            best = max(best, cx.dim_of_subset(closures[x] & closures[y]))
+    for x in cx.maximal(members):
+        cl = cx.closure([x])
+        best = max(best, cx.dim_of_subset(cl & seen))
+        seen |= cl
     return best
 
 

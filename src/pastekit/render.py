@@ -64,6 +64,8 @@ def _wire_sequence(cx: Complex, wires: frozenset[str]) -> list[str]:
         src = [t for t, s in cx.covers(w) if s == MINUS]
         if len(src) != 1:
             raise ValueError("wire without a single source endpoint")
+        if src[0] in by_source:
+            raise ValueError("wire layer is not a single path")
         by_source[src[0]] = w
     out = []
     for _ in ones:

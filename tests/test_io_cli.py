@@ -390,6 +390,19 @@ def test_cli_svg_rejects_cells_without_a_total_order(fixture_dir, tmp_path, caps
     assert "string diagram" in captured.err
 
 
+def test_cli_svg_rejects_parallel_wires(fixture_dir, tmp_path, capsys):
+    doc = json.loads((fixture_dir / "o2.json").read_bytes())
+    # without its 2-cell, o2 is two parallel arrows leaving the same vertex
+    doc["elements"] = [e for e in doc["elements"] if e["dim"] < 2]
+    path = tmp_path / "par.json"
+    path.write_text(json.dumps(doc))
+    assert main(["export", str(path), "--format", "svg"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert "wire layer is not a single path" in captured.err
+
+
 def test_cli_fixtures_lists(capsys):
     assert main(["fixtures"]) == 0
     names = capsys.readouterr().out.split()

@@ -77,6 +77,20 @@ def test_paste_mismatch_reports_stratum():
         paste(u_cell(2, 1), u_cell(2, 1), 1)
 
 
+def test_cell_to_and_substitute_report_the_mismatched_stratum():
+    # a 2-wire input boundary against a 3-wire one: 5 against 7 elements,
+    # whose sorted dimensions first differ at position 3
+    with pytest.raises(PastingError) as err:
+        cell_to(u_cell(2, 1), u_cell(3, 1))
+    assert str(err.value) == (
+        "cell_to: --boundaries of ((O1#0O1)=>O1) and (((O1#0O1)#0O1)=>O1) differ "
+        "(first mismatch in stratum 3, sizes 5 vs 7)"
+    )
+    u = u_cell(2, 1)
+    with pytest.raises(SubstitutionError, match=r"^--boundaries of site and replacement differ \(first mismatch in stratum 3, sizes 7 vs 5\)$"):
+        substitute(u, u.members, u_cell(3, 1))
+
+
 def test_paste_associative_up_to_iso():
     a, b, c = u_cell(2, 1), u_cell(1, 2), u_cell(2, 2)
     left = paste(paste(a, b, 0), c, 0)

@@ -1,0 +1,261 @@
+"""The cached and one-pass paths of ogp, orders and molecules against plain references.
+
+Each reference recomputes from the covers on every call, the way the
+library did before it kept per-element facts: a cover-walking closure, a
+coface test for maximal elements, a boundary built per level and sign, the
+pairwise frame dimension, the level-n frame graph from per-call atom
+boundaries, and an enumeration that recomputes every boundary of a member
+set when it is added and again when it is popped.
+
+The complexes are random molecules, their duals, and copies with one cover
+sign flipped.  The flipped copies are usually not regular, which is where a
+shortcut that only holds for regular complexes (such as deriving the
+boundaries of a pasting from those of its halves) would show.
+"""
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from conftest import random_molecule
+from pastekit import (
+    Atom,
+    Complex,
+    MINUS,
+    Molecule,
+    PLUS,
+    Pasting,
+    certificate_json,
+    enumerate_molecules,
+    frame_dimension,
+    interval_chain,
+    maxd,
+    validate_complex,
+)
+
+SIGNS = (MINUS, PLUS)
+
+
+def ref_closure(cx: Complex, members) -> frozenset[str]:
+    out: set[str] = set()
+    stack = list(members)
+    while stack:
+        x = stack.pop()
+        if x not in out:
+            out.add(x)
+            stack.extend(t for t, _ in cx.covers(x))
+    return frozenset(out)
+
+
+def ref_maximal(cx: Complex, members) -> frozenset[str]:
+    return frozenset(x for x in members if not any(y in members for y, _ in cx.cofaces(x)))
+
+
+def ref_boundary(cx: Complex, members: frozenset[str], n: int, sign: str) -> frozenset[str]:
+    if n < 0:
+        return frozenset()
+    source = [
+        x
+        for x in members
+        if cx.dim_of(x) == n and all(s == sign for y, s in cx.cofaces(x) if y in members)
+    ]
+    high = [x for x in members if cx.dim_of(x) > n]
+    return ref_closure(cx, source) | (members - ref_closure(cx, high))
+
+
+def ref_frame_dimension(cx: Complex, members: frozenset[str]) -> int:
+    maximal = sorted(cx.maximal(members))
+    closures = {x: ref_closure(cx, [x]) for x in maximal}
+    best = -1
+    for i, x in enumerate(maximal):
+        for y in maximal[i + 1 :]:
+            best = max(best, cx.dim_of_subset(closures[x] & closures[y]))
+    return best
+
+
+def ref_maxd_adjacency(cx: Complex, members: frozenset[str], n: int) -> dict[str, tuple[str, ...]]:
+    low = [x for x in members if cx.dim_of(x) <= n]
+    high = [x for x in cx.maximal(members) if cx.dim_of(x) > n]
+    adj: dict[str, set[str]] = {v: set() for v in low + high}
+    for x in high:
+        cl = ref_closure(cx, [x])
+        rim = ref_boundary(cx, cl, n - 1, MINUS) | ref_boundary(cx, cl, n - 1, PLUS)
+        adj_in = ref_boundary(cx, cl, n, MINUS) - rim
+        adj_out = ref_boundary(cx, cl, n, PLUS) - rim
+        for y in low:
+            if y in adj_in:
+                adj[y].add(x)
+            if y in adj_out:
+                adj[x].add(y)
+    return {v: tuple(sorted(ws)) for v, ws in sorted(adj.items())}
+
+
+def ref_enumerate(cx: Complex, max_count: int = 10_000) -> tuple[list[Molecule], bool]:
+    pool: dict[frozenset[str], Atom | Pasting] = {}
+    by_bminus: dict[tuple[int, frozenset[str]], list[frozenset[str]]] = {}
+    by_bplus: dict[tuple[int, frozenset[str]], list[frozenset[str]]] = {}
+
+    def boundaries(m):
+        for k in range(cx.dim):
+            yield k, ref_boundary(cx, m, k, MINUS), ref_boundary(cx, m, k, PLUS)
+
+    work: list[frozenset[str]] = []
+    truncated = False
+
+    def add(members, cert):
+        nonlocal truncated
+        if members in pool:
+            return
+        if len(pool) >= max_count:
+            truncated = True
+            return
+        pool[members] = cert
+        work.append(members)
+        for k, bm, bp in boundaries(members):
+            by_bminus.setdefault((k, bm), []).append(members)
+            by_bplus.setdefault((k, bp), []).append(members)
+
+    for x in cx.elements():
+        add(ref_closure(cx, [x]), Atom(x))
+    while work and not truncated:
+        m = work.pop()
+        cert = pool[m]
+        for k, bm, bp in boundaries(m):
+            for other in list(by_bminus.get((k, bp), ())):
+                if other & m == bp and other | m not in (m, other):
+                    add(other | m, Pasting(k, cert, pool[other]))
+            for other in list(by_bplus.get((k, bm), ())):
+                if other & m == bm and other | m not in (m, other):
+                    add(other | m, Pasting(k, pool[other], cert))
+    out = sorted(pool, key=lambda m: (len(m), tuple(sorted(m))))
+    return [Molecule(cx, m, pool[m]) for m in out], truncated
+
+
+def flip_one_sign(cx: Complex, rng: random.Random) -> Complex:
+    """A copy of ``cx`` with the sign of one randomly chosen cover reversed."""
+    x = rng.choice([y for y in cx.elements() if cx.dim_of(y) >= 1])
+    covers = list(cx.covers(x))
+    i = rng.randrange(len(covers))
+    t, s = covers[i]
+    covers[i] = (t, MINUS if s == PLUS else PLUS)
+    table = {y: (cx.dim_of(y), cx.covers(y)) for y in cx.elements()}
+    table[x] = (cx.dim_of(x), covers)
+    return Complex(f"{cx.name}~{x}", table)
+
+
+def _complexes() -> list[Complex]:
+    rng = random.Random(0x5EF)
+    out = []
+    for _ in range(14):
+        cx = random_molecule(rng, max_elements=28).complex
+        out += [cx, cx.dual(), flip_one_sign(cx, rng)]
+    return out
+
+
+COMPLEXES = _complexes()
+
+
+@pytest.fixture(scope="module")
+def enumerated() -> list[tuple[Complex, list[Molecule], bool]]:
+    """Each complex with its reference enumeration (computed once)."""
+    return [(cx, *ref_enumerate(cx)) for cx in COMPLEXES]
+
+
+def _subsets(cx: Complex, rng: random.Random, count: int) -> list[list[str]]:
+    ids = cx.elements()
+    return [rng.sample(ids, rng.randint(0, min(6, len(ids)))) for _ in range(count)]
+
+
+def test_closure_matches_the_cover_walk():
+    rng = random.Random(1)
+    for cx in COMPLEXES:
+        for x in cx.elements():
+            assert cx.closure([x]) == ref_closure(cx, [x])
+        for sub in _subsets(cx, rng, 20):
+            assert cx.closure(sub) == ref_closure(cx, sub)
+            assert cx.closure(iter(sub)) == ref_closure(cx, sub)
+            assert cx.maximal(frozenset(sub)) == ref_maximal(cx, frozenset(sub))
+        with pytest.raises(KeyError):
+            cx.closure([cx.elements()[0], "no such element"])
+
+
+def test_boundaries_match_per_call_boundary(enumerated):
+    for cx, found, _ in enumerated:
+        # the empty set, the whole complex, every atom and every enumerated member set
+        sets = {frozenset(), cx.whole(), *(cx.closure([x]) for x in cx.elements()), *(m.members for m in found)}
+        for m in sets:
+            assert cx.maximal(m) == ref_maximal(cx, m)
+            want = [tuple(ref_boundary(cx, m, k, s) for s in SIGNS) for k in range(cx.dim)]
+            assert cx._boundaries(m, cx.dim) == want
+            # a top below the set's dimension computes only the lower levels
+            assert cx._boundaries(m, cx.dim - 1) == want[: cx.dim - 1]
+            for k in range(-1, cx.dim + 1):
+                for s in SIGNS:
+                    assert cx.boundary(m, k, s) == ref_boundary(cx, m, k, s)
+        for x in cx.elements():
+            cl = ref_closure(cx, [x])
+            for k in range(-1, cx.dim_of(x) + 1):
+                for s in SIGNS:
+                    assert cx._atom_boundary(x, k, s) == ref_boundary(cx, cl, k, s)
+                both = ref_boundary(cx, cl, k, MINUS) | ref_boundary(cx, cl, k, PLUS)
+                assert cx._atom_boundary(x, k) == both
+
+
+def test_frame_dimension_and_frame_graphs_match_the_pairwise_reference(enumerated):
+    for cx, found, _ in enumerated:
+        for u in found:
+            assert frame_dimension(cx, u.members) == ref_frame_dimension(cx, u.members)
+            for n in range(cx.dim_of_subset(u.members)):
+                assert maxd(cx, u.members, n).adjacency == ref_maxd_adjacency(cx, u.members, n)
+
+
+def _digest(found: list[Molecule]) -> list[tuple[frozenset[str], dict]]:
+    return [(u.members, certificate_json(u)) for u in found]
+
+
+def test_enumeration_matches_the_recomputing_reference(enumerated):
+    for cx, found, truncated in enumerated:
+        got, got_truncated = enumerate_molecules(cx)
+        assert _digest(got) == _digest(found)
+        assert got_truncated == truncated
+    # a small budget truncates both at the same set
+    for cx in COMPLEXES[:9]:
+        for budget in (1, 7, 20):
+            got, got_truncated = enumerate_molecules(cx, budget)
+            want, want_truncated = ref_enumerate(cx, budget)
+            assert _digest(got) == _digest(want)
+            assert got_truncated == want_truncated
+    got, got_truncated = enumerate_molecules(interval_chain(5).complex, max_count=4)
+    want, want_truncated = ref_enumerate(interval_chain(5).complex, max_count=4)
+    assert _digest(got) == _digest(want) and got_truncated and want_truncated
+
+
+def test_flipped_copies_are_not_all_regular():
+    flipped = [cx for cx in COMPLEXES if "~" in cx.name]
+    assert any(not validate_complex(cx).passed for cx in flipped)
+
+
+def test_derived_complexes_do_not_share_caches():
+    cx = COMPLEXES[0]
+    top = max(cx.elements(), key=cx.dim_of)
+    for x in cx.elements():
+        cx._atom_boundary(x, cx.dim_of(x) - 1, MINUS)
+    cx._boundaries(cx.whole(), cx.dim)
+    derived = [
+        cx.dual(),
+        cx.dual(dims=[1]),
+        cx.relabel({top: "renamed"}),
+        cx.relabel({}),
+        cx.restrict(cx.closure([top])),
+        cx.restrict(cx.whole()),
+    ]
+    for d in derived:
+        assert d._down is not cx._down
+        assert d._atom_bd is not cx._atom_bd
+        # results on the derived complex come from its own covers
+        for x in d.elements():
+            assert d.closure([x]) == ref_closure(d, [x])
+            for s in SIGNS:
+                k = d.dim_of(x) - 1
+                assert d._atom_boundary(x, k, s) == ref_boundary(d, ref_closure(d, [x]), k, s)
