@@ -6,6 +6,7 @@ check coming back negative), 2 usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -275,8 +276,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# parsing leaves no state on the parser, so one per process serves every call
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
+    ap = _parser()
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:

@@ -15,6 +15,7 @@ isomorphism, and rename the rest ``left/x`` and ``right/y``.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, TypeVar
 
@@ -264,14 +265,15 @@ def _glue(
 
 def _mismatch(acx: Complex, a: frozenset[str], bcx: Complex, b: frozenset[str]) -> str:
     """Where two non-isomorphic subsets first differ, for error messages:
-    the first position of their sorted element dimensions that disagrees."""
-    da = sorted(acx.dim_of(x) for x in a)
-    db = sorted(bcx.dim_of(x) for x in b)
-    stratum = next(
-        (n for n in range(max(len(da), len(db))) if n >= len(da) or n >= len(db) or da[n] != db[n]),
-        None,
-    )
-    return f"first mismatch in stratum {stratum}, sizes {len(a)} vs {len(b)}"
+    the least dimension whose element counts disagree."""
+    ca = Counter(acx.dim_of(x) for x in a)
+    cb = Counter(bcx.dim_of(y) for y in b)
+    sizes = f"sizes {len(a)} vs {len(b)}"
+    differ = [n for n in ca.keys() | cb.keys() if ca[n] != cb[n]]
+    if not differ:
+        return f"element counts agree in every stratum, {sizes}"
+    n = min(differ)
+    return f"first mismatch in stratum {n} ({ca[n]} vs {cb[n]} elements), {sizes}"
 
 
 def _sphere_iso(
@@ -535,21 +537,20 @@ def _split_candidates(cx, members, highs, i, k, bminus, bplus):
     yield prefix, cx.closure(members - (prefix - cx.boundary(prefix, k, PLUS)))
 
 
-def enumerate_molecules(cx: Complex, max_count: int = 10_000) -> tuple[list[Molecule], bool]:
-    """All molecules inside a complex: atom closures closed under pasting.
-
-    Deduplicated by element set; results sorted by (size, ids).  Returns the
-    list and a flag marking whether the budget truncated the enumeration.
-    """
-    pool: dict[frozenset[str], Atom | Pasting] = {}
-    by_bminus: dict[tuple[int, frozenset[str]], list[frozenset[str]]] = {}
-    by_bplus: dict[tuple[int, frozenset[str]], list[frozenset[str]]] = {}
+def _enumerate_masks(cx: Complex, max_count: int) -> tuple[dict[int, Atom | Pasting], bool]:
+    """The molecules of `enumerate_molecules` as masks of ``cx._index()``,
+    each with its certificate, in the order they were found."""
+    ix = cx._index()
+    pool: dict[int, Atom | Pasting] = {}
     top = cx.dim
+    # level k's sets by their input and their output k-boundary
+    by_bminus: list[dict[int, list[int]]] = [{} for _ in range(top)]
+    by_bplus: list[dict[int, list[int]]] = [{} for _ in range(top)]
     # each set's boundaries live on the work stack only until it is popped
-    work: list[tuple[frozenset[str], list[tuple[frozenset[str], frozenset[str]]]]] = []
+    work: list[tuple[int, list[tuple[int, int]]]] = []
     truncated = False
 
-    def add(members: frozenset[str], cert: Atom | Pasting) -> None:
+    def add(members: int, cert: Atom | Pasting) -> None:
         nonlocal truncated
         if members in pool:
             return
@@ -557,30 +558,46 @@ def enumerate_molecules(cx: Complex, max_count: int = 10_000) -> tuple[list[Mole
             truncated = True
             return
         pool[members] = cert
-        bds = cx._boundaries(members, top)
+        bds = ix.boundaries(members, top)
         work.append((members, bds))
         for k, (bm, bp) in enumerate(bds):
-            by_bminus.setdefault((k, bm), []).append(members)
-            by_bplus.setdefault((k, bp), []).append(members)
+            by_bminus[k].setdefault(bm, []).append(members)
+            by_bplus[k].setdefault(bp, []).append(members)
 
     for x in cx.elements():
-        add(cx.closure([x]), Atom(x))
+        add(ix.down[ix.pos[x]], Atom(x))
     while work and not truncated:
         m, bds = work.pop()
         cert = pool[m]
         for k, (bm, bp) in enumerate(bds):
-            for other in list(by_bminus.get((k, bp), ())):
+            for other in list(by_bminus[k].get(bp, ())):
                 if other & m == bp:
                     joined = other | m
                     if joined != m and joined != other:
                         add(joined, Pasting(k, cert, pool[other]))
-            for other in list(by_bplus.get((k, bm), ())):
+            for other in list(by_bplus[k].get(bm, ())):
                 if other & m == bm:
                     joined = other | m
                     if joined != m and joined != other:
                         add(joined, Pasting(k, pool[other], cert))
-    out = sorted(pool, key=lambda m: (len(m), tuple(sorted(m))))
-    return [Molecule(cx, m, pool[m]) for m in out], truncated
+    return pool, truncated
+
+
+def enumerate_molecules(cx: Complex, max_count: int = 10_000) -> tuple[list[Molecule], bool]:
+    """All molecules inside a complex: atom closures closed under pasting.
+
+    Deduplicated by element set; results sorted by (size, ids).  Returns the
+    list and a flag marking whether the budget truncated the enumeration.
+    """
+    pool, truncated = _enumerate_masks(cx, max_count)
+    ix = cx._index()
+    found = {ix.members(m): cert for m, cert in pool.items()}
+    return [Molecule(cx, m, found[m]) for m in sorted(found, key=_listing_key)], truncated
+
+
+def _listing_key(members: frozenset[str]) -> tuple[int, tuple[str, ...]]:
+    """The order of `enumerate_molecules`' results: by size, then by ids."""
+    return len(members), tuple(sorted(members))
 
 
 def certificate_ok(u: Molecule) -> bool:

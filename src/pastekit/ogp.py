@@ -34,6 +34,140 @@ class StructureError(ValueError):
     """
 
 
+class _Index:
+    """A complex's elements as bit positions, and per-element masks.
+
+    Element ids are numbered in (dim, id) order, so the elements of each
+    dimension fill one contiguous bit range and the dimension of a nonempty
+    mask is the dimension of its top bit.  A subset is an ``int`` whose bit
+    ``i`` marks element ``ids[i]``.  Each element has a downset mask (its
+    closure), a cover mask, and one coface mask per sign; boundaries of
+    atoms are cached here as masks.
+    """
+
+    __slots__ = ("ids", "pos", "dims", "lower", "down", "cover", "cofaces", "atom_bd")
+
+    def __init__(self, cx: "Complex"):
+        ids = tuple(x for d in range(cx.dim + 1) for x in cx.by_dim(d))
+        pos = {x: i for i, x in enumerate(ids)}
+        self.ids = ids
+        self.pos = pos
+        self.dims = [cx.dim_of(x) for x in ids]
+        # lower[d] masks the elements of dimension < d, for 0 <= d <= dim + 1
+        self.lower = [0]
+        for d in range(cx.dim + 1):
+            self.lower.append((1 << (self.lower[-1].bit_length() + len(cx.by_dim(d)))) - 1)
+        self.down: list[int] = []
+        self.cover: list[int] = []
+        self.cofaces = {MINUS: [0] * len(ids), PLUS: [0] * len(ids)}
+        for i, x in enumerate(ids):
+            cover = down = 0
+            for t, sign in cx.covers(x):
+                j = pos[t]
+                cover |= 1 << j
+                down |= self.down[j]
+                self.cofaces[sign][j] |= 1 << i
+            self.cover.append(cover)
+            self.down.append(down | 1 << i)
+        self.atom_bd: dict[tuple[int, int, str | None], int] = {}
+
+    def mask(self, members: Iterable[str]) -> int:
+        pos = self.pos
+        out = 0
+        for x in members:
+            out |= 1 << pos[x]
+        return out
+
+    def members(self, m: int) -> frozenset[str]:
+        ids = self.ids
+        out = []
+        while m:
+            low = m & -m
+            out.append(ids[low.bit_length() - 1])
+            m ^= low
+        return frozenset(out)
+
+    def dim(self, m: int) -> int:
+        """Greatest dimension in ``m``, -1 when empty."""
+        return self.dims[m.bit_length() - 1] if m else -1
+
+    def below(self, n: int) -> int:
+        """The mask of all elements of dimension < ``n``, for ``n >= 0``."""
+        lower = self.lower
+        return lower[n] if n < len(lower) else lower[-1]
+
+    def closure(self, m: int) -> int:
+        """The downset of ``m``: each step takes the top bit not yet covered."""
+        down = self.down
+        out = 0
+        while m:
+            out |= down[m.bit_length() - 1]
+            m &= ~out
+        return out
+
+    def maximal(self, m: int) -> int:
+        """Elements of ``m`` not covered by any other member."""
+        cover = self.cover
+        covered = 0
+        rest = m
+        while rest:
+            low = rest & -rest
+            covered |= cover[low.bit_length() - 1]
+            rest ^= low
+        return m & ~covered
+
+    def sources(self, m: int, n: int) -> tuple[int, int]:
+        """The closures of both source sets of ``m`` at level ``n``: n-dimensional
+        members with no covering member of the opposite sign, input then output."""
+        down, into, out_of = self.down, self.cofaces[MINUS], self.cofaces[PLUS]
+        minus = plus = 0
+        rest = m & self.below(n + 1) & ~self.below(n)
+        while rest:
+            low = rest & -rest
+            i = low.bit_length() - 1
+            rest ^= low
+            if not out_of[i] & m:
+                minus |= down[i]
+            if not into[i] & m:
+                plus |= down[i]
+        return minus, plus
+
+    def boundary(self, m: int, n: int, sign: str | None) -> int:
+        """``Complex.boundary`` on masks; ``sign=None`` is the union of both."""
+        if n < 0:
+            return 0
+        low = self.below(n + 1)
+        swallowed = m & ~self.closure(m & ~low)
+        minus, plus = self.sources(m, n)
+        if sign is None:
+            return minus | plus | swallowed
+        return (minus if sign == MINUS else plus) | swallowed
+
+    def boundaries(self, m: int, top: int) -> list[tuple[int, int]]:
+        """``[(boundary(m, k, -), boundary(m, k, +)) for k < top]``.
+
+        The closure of the members above level k, shared by both signs,
+        grows by one dimension per level from the top down.
+        """
+        above = 0
+        out: list = [None] * top
+        for k in range(max(top, self.dim(m)) - 1, -1, -1):
+            above |= self.closure(m & ~self.below(k + 1) & ~above)
+            if k < top:
+                swallowed = m & ~above
+                minus, plus = self.sources(m, k)
+                out[k] = (minus | swallowed, plus | swallowed)
+        return out
+
+    def atom_boundary(self, i: int, n: int, sign: str | None = None) -> int:
+        """``boundary(down[i], n, sign)``, cached per element."""
+        key = (i, n, sign)
+        got = self.atom_bd.get(key)
+        if got is None:
+            got = self.atom_bd[key] = self.boundary(self.down[i], n, sign)
+        return got
+
+
 class Complex:
     """A finite oriented graded poset.
 
@@ -46,14 +180,18 @@ class Complex:
       of dimension 0 covers none;
     * no element covers the same target twice (no parallel Hasse edges).
 
-    Instances are immutable after construction and safe to share.  Derived
-    per-element facts (each element's downset and the boundaries of its
-    closure) are cached lazily on the instance; they only save
-    recomputation and never change a result.
+    Instances are immutable after construction and safe to share.  On first
+    use a complex builds an integer index: its elements numbered in
+    (dim, id) order, subsets held as ``int`` bitmasks, and each element's
+    downset, cover and signed coface masks.  Closures and boundaries are
+    mask arithmetic on that index, behind signatures that take and return
+    ``frozenset`` ids.  Derived per-element facts (each element's downset
+    and the boundaries of its closure) are cached lazily on the instance;
+    they only save recomputation and never change a result.
     """
 
     __slots__ = (
-        "name", "_dim", "_covers", "_cofaces", "_ids", "_by_dim", "_top_dim", "_down", "_atom_bd"
+        "name", "_dim", "_covers", "_cofaces", "_ids", "_by_dim", "_top_dim", "_ix", "_down", "_atom_bd"
     )
 
     def __init__(self, name: str, elements: Mapping[str, tuple[int, Iterable[tuple[str, str]]]]):
@@ -94,6 +232,7 @@ class Complex:
             by_dim.setdefault(dims[eid], []).append(eid)
         self._by_dim = {d: tuple(v) for d, v in by_dim.items()}
         self._top_dim = max(by_dim) if by_dim else -1
+        self._ix: _Index | None = None
         self._down: dict[str, frozenset[str]] = {}
         self._atom_bd: dict[tuple[str, int, str | None], frozenset[str]] = {}
 
@@ -138,25 +277,20 @@ class Complex:
 
     # -- subsets ----------------------------------------------------------
 
+    def _index(self) -> _Index:
+        """The integer index, built on first use."""
+        ix = self._ix
+        if ix is None:
+            ix = self._ix = _Index(self)
+        return ix
+
     def _downset(self, x: str) -> frozenset[str]:
-        """``closure([x])``, built from the covers' cached downsets."""
-        down = self._down
-        got = down.get(x)
-        if got is not None:
-            return got
-        stack = [x]
-        while stack:
-            y = stack[-1]
-            if y in down:
-                stack.pop()
-                continue
-            missing = [t for t, _ in self._covers[y] if t not in down]
-            if missing:
-                stack.extend(missing)
-                continue
-            stack.pop()
-            down[y] = frozenset((y,)).union(*(down[t] for t, _ in self._covers[y]))
-        return down[x]
+        """``closure([x])``, cached per element."""
+        got = self._down.get(x)
+        if got is None:
+            ix = self._index()
+            got = self._down[x] = ix.members(ix.down[ix.pos[x]])
+        return got
 
     def closure(self, members: Iterable[str]) -> frozenset[str]:
         """Smallest downward-closed superset of ``members``."""
@@ -166,55 +300,30 @@ class Complex:
                 raise KeyError(f"{self.name}: unknown element {eid!r}")
         if len(members) == 1:
             return self._downset(members[0])
-        out: set[str] = set()
-        for x in members:
-            if x not in out:
-                out |= self._downset(x)
-        return frozenset(out)
+        ix = self._index()
+        return ix.members(ix.closure(ix.mask(members)))
 
     def _atom_boundary(self, x: str, n: int, sign: str | None = None) -> frozenset[str]:
         """``boundary(closure([x]), n, sign)``, cached per element."""
         key = (x, n, sign)
         got = self._atom_bd.get(key)
         if got is None:
-            got = self._atom_bd[key] = self.boundary(self._downset(x), n, sign)
+            ix = self._index()
+            got = self._atom_bd[key] = ix.members(ix.atom_boundary(ix.pos[x], n, sign))
         return got
 
     def _boundaries(self, members: frozenset[str], top: int) -> list[tuple[frozenset[str], frozenset[str]]]:
-        """``[(boundary(members, k, -), boundary(members, k, +)) for k < top]``.
-
-        One scan of the coface signs gives both source sets at each level,
-        and the closure of the members above level k, shared by both signs,
-        grows by one dimension per level from the top down.
-        """
-        layers: dict[int, list[str]] = {}
-        for x in members:
-            layers.setdefault(self._dim[x], []).append(x)
-        above: set[str] = set()
-        out: list = [None] * top
-        for k in range(max([top, *layers]) - 1, -1, -1):
-            for x in layers.get(k + 1, ()):
-                if x not in above:
-                    above |= self._downset(x)
-            if k >= top:
-                continue
-            swallowed = members - above
-            minus, plus = [], []
-            for x in layers.get(k, ()):
-                signs = {s for y, s in self._cofaces[x] if y in members}
-                if PLUS not in signs:
-                    minus.append(x)
-                if MINUS not in signs:
-                    plus.append(x)
-            out[k] = (self.closure(minus) | swallowed, self.closure(plus) | swallowed)
-        return out
+        """``[(boundary(members, k, -), boundary(members, k, +)) for k < top]``."""
+        ix = self._index()
+        return [(ix.members(a), ix.members(b)) for a, b in ix.boundaries(ix.mask(members), top)]
 
     def is_closed(self, members: frozenset[str]) -> bool:
         return all(t in members for x in members for t, _ in self._covers[x])
 
     def maximal(self, members: frozenset[str]) -> frozenset[str]:
         """Elements of ``members`` not covered by any other member."""
-        return frozenset(members).difference([t for x in members for t, _ in self._covers[x]])
+        ix = self._index()
+        return ix.members(ix.maximal(ix.mask(members)))
 
     def source_set(self, members: frozenset[str], n: int, sign: str) -> frozenset[str]:
         """n-dimensional members all of whose covering members carry ``sign``.
@@ -235,15 +344,11 @@ class Complex:
         With ``sign`` omitted, the union over both signs; with ``n`` omitted,
         ``dim(members) - 1``.
         """
+        ix = self._index()
+        m = ix.mask(members)
         if n is None:
-            n = self.dim_of_subset(members) - 1
-        if sign is None:
-            return self.boundary(members, n, MINUS) | self.boundary(members, n, PLUS)
-        if n < 0:
-            return frozenset()
-        high = [x for x in members if self._dim[x] > n]
-        swallowed = members - self.closure(high)
-        return self.closure(self.source_set(members, n, sign)) | swallowed
+            n = ix.dim(m) - 1
+        return ix.members(ix.boundary(m, n, sign))
 
     def whole(self) -> frozenset[str]:
         return frozenset(self._ids)

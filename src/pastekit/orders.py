@@ -165,24 +165,69 @@ def frame_acyclic(
     """Whether every molecule's frame graph at its own frame dimension is acyclic.
 
     Without an explicit list this enumerates molecules up to ``budget``
-    (desk scale only) and reports coverage.
+    (desk scale only) and reports coverage.  A failing report names the
+    first looping molecule in list order (`enumerate_molecules`' order when
+    enumerated) and a cycle of its frame graph.
     """
+    ix = cx._index()
     truncated = False
     if molecule_list is None:
-        molecule_list, truncated = mol.enumerate_molecules(cx, budget)
-    checked = 0
-    for u in molecule_list:
-        members = u.members
-        if len(cx.maximal(members)) < 2:
-            checked += 1
-            continue
-        k = frame_dimension(cx, members)
-        g = maxd(cx, members, max(k, 0))
-        cycle = g.find_cycle()
-        checked += 1
-        if cycle is not None:
+        pool, truncated = mol._enumerate_masks(cx, budget)
+        if not any(_frame_loops(ix, m) for m in pool):
+            return FrameAcyclicityReport(True, len(pool), truncated)
+        listed = sorted((ix.members(m) for m in pool), key=mol._listing_key)
+    else:
+        listed = [u.members for u in molecule_list]
+    for checked, members in enumerate(listed, 1):
+        if _frame_loops(ix, ix.mask(members)):
+            k = frame_dimension(cx, members)
+            cycle = maxd(cx, members, max(k, 0)).find_cycle()
             return FrameAcyclicityReport(False, checked, truncated, members, cycle)
-    return FrameAcyclicityReport(True, checked, truncated)
+    return FrameAcyclicityReport(True, len(listed), truncated)
+
+
+def _frame_loops(ix, m: int) -> bool:
+    """Whether the frame graph of a closed mask at its frame dimension has a cycle.
+
+    The frame graph alternates low elements and high maximal cells, so it
+    has a cycle exactly when the relation "the output of x meets the input
+    of x'" on high cells does.
+    """
+    maximal = ix.maximal(m)
+    if not maximal & (maximal - 1):  # fewer than two maximal cells
+        return False
+    down, dims = ix.down, ix.dims
+    # n is the frame dimension (at least 0, the least level of a frame
+    # graph): the greatest overlap of a maximal cell with the cells before
+    # it, whose top bit gives its dimension
+    cells = []
+    seen = n = 0
+    rest = maximal
+    while rest:
+        low = rest & -rest
+        i = low.bit_length() - 1
+        rest ^= low
+        cells.append(i)
+        overlap = down[i] & seen
+        if overlap:
+            n = max(n, dims[overlap.bit_length() - 1])
+        seen |= down[i]
+    sides = []
+    for i in cells:
+        if dims[i] > n:
+            rim = ix.atom_boundary(i, n - 1)
+            sides.append((ix.atom_boundary(i, n, MINUS) & ~rim & m, ix.atom_boundary(i, n, PLUS) & ~rim & m))
+    # Kahn's algorithm in rounds: a cell is ready once no remaining cell's
+    # output meets its input; a round with no ready cell means a cycle
+    while sides:
+        outputs = 0
+        for _, out in sides:
+            outputs |= out
+        blocked = [p for p in sides if p[0] & outputs]
+        if len(blocked) == len(sides):
+            return True
+        sides = blocked
+    return False
 
 
 def k_order(u: mol.Molecule, k: int) -> KOrder | None:

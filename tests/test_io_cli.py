@@ -3,6 +3,7 @@ import json
 import pytest
 
 from pastekit import globe, interval_chain, u_cell, validate_complex
+from pastekit import cli
 from pastekit.cli import main
 from pastekit.fixtures import fixture_files, frob, power
 from pastekit.render import export_dot, export_dot_maxd, export_svg_2diagram
@@ -314,6 +315,29 @@ def test_parse_diag_presentation_rejects_mistyped_cells(field, value):
 
 def test_cli_usage_error():
     assert main(["no-such-command"]) == 2
+
+
+def test_cli_main_reuses_its_parser_without_carrying_state(fixture_dir, capsys):
+    u21 = str(fixture_dir / "u21.json")
+    calls = [
+        ["boundary", u21, "-n", "1", "--ids-only"],  # success, with a defaulted option
+        ["boundary", u21, "-s", "+"],  # usage error: -n is required
+        ["paste", "1", u21, u21],  # semantic failure: boundaries differ
+    ]
+
+    def run(argv):
+        code = main(argv)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run(argv))
+    assert [code for code, _, _ in fresh] == [0, 2, 1]
+    for order in (calls, calls[::-1]):
+        assert [run(argv) for argv in order] == [fresh[calls.index(argv)] for argv in order]
+    assert cli._parser() is cli._parser()
 
 
 def test_cli_paste_and_boundary(fixture_dir, capsys):

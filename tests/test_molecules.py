@@ -28,6 +28,7 @@ from pastekit import (
     unique_iso,
     validate_complex,
 )
+from pastekit.molecules import _mismatch
 
 from conftest import random_molecule
 
@@ -79,16 +80,31 @@ def test_paste_mismatch_reports_stratum():
 
 def test_cell_to_and_substitute_report_the_mismatched_stratum():
     # a 2-wire input boundary against a 3-wire one: 5 against 7 elements,
-    # whose sorted dimensions first differ at position 3
+    # whose counts first differ in dimension 0 (3 against 4 points)
     with pytest.raises(PastingError) as err:
         cell_to(u_cell(2, 1), u_cell(3, 1))
     assert str(err.value) == (
         "cell_to: --boundaries of ((O1#0O1)=>O1) and (((O1#0O1)#0O1)=>O1) differ "
-        "(first mismatch in stratum 3, sizes 5 vs 7)"
+        "(first mismatch in stratum 0 (3 vs 4 elements), sizes 5 vs 7)"
     )
     u = u_cell(2, 1)
-    with pytest.raises(SubstitutionError, match=r"^--boundaries of site and replacement differ \(first mismatch in stratum 3, sizes 7 vs 5\)$"):
+    with pytest.raises(
+        SubstitutionError,
+        match=r"^--boundaries of site and replacement differ \(first mismatch in stratum 0 \(4 vs 3 elements\), sizes 7 vs 5\)$",
+    ):
         substitute(u, u.members, u_cell(3, 1))
+
+
+def test_mismatch_with_equal_counts_says_so():
+    # a chain of two arrows and two arrows into one point: not isomorphic,
+    # with 3 points and 2 arrows each
+    points = {x: (0, []) for x in "abc"}
+    chain = Complex("chain", {**points, "f": (1, [("a", MINUS), ("b", PLUS)]), "g": (1, [("b", MINUS), ("c", PLUS)])})
+    cospan = Complex("cospan", {**points, "f": (1, [("a", MINUS), ("b", PLUS)]), "g": (1, [("c", MINUS), ("b", PLUS)])})
+    assert unique_iso((chain, chain.whole()), (cospan, cospan.whole())) is None
+    assert _mismatch(chain, chain.whole(), cospan, cospan.whole()) == (
+        "element counts agree in every stratum, sizes 5 vs 5"
+    )
 
 
 def test_paste_associative_up_to_iso():

@@ -28,11 +28,13 @@ from pastekit import (
     Pasting,
     certificate_json,
     enumerate_molecules,
+    frame_acyclic,
     frame_dimension,
     interval_chain,
     maxd,
     validate_complex,
 )
+from pastekit.orders import _find_cycle
 
 SIGNS = (MINUS, PLUS)
 
@@ -259,3 +261,66 @@ def test_derived_complexes_do_not_share_caches():
             for s in SIGNS:
                 k = d.dim_of(x) - 1
                 assert d._atom_boundary(x, k, s) == ref_boundary(d, ref_closure(d, [x]), k, s)
+
+
+def ref_frame_acyclic(cx: Complex, molecules: list[Molecule], truncated: bool) -> tuple:
+    """The first molecule, in list order, whose frame graph at its frame dimension loops."""
+    for checked, u in enumerate(molecules, 1):
+        if len(ref_maximal(cx, u.members)) < 2:
+            continue
+        k = ref_frame_dimension(cx, u.members)
+        cycle = _find_cycle(maxd(cx, u.members, max(k, 0)).adjacency)
+        if cycle is not None:
+            return False, checked, truncated, u.members, cycle
+    return True, len(molecules), truncated, None, None
+
+
+def _report(r) -> tuple:
+    return r.ok, r.checked, r.truncated, r.witness, r.cycle
+
+
+def test_frame_acyclic_matches_the_per_molecule_reference():
+    failing = 0
+    for cx in COMPLEXES:
+        # budget 40 truncates most enumerations and still reaches some loops
+        for budget in (1, 7, 20, 40, None):
+            found, truncated = enumerate_molecules(cx) if budget is None else enumerate_molecules(cx, budget)
+            want = ref_frame_acyclic(cx, found, truncated)
+            got = frame_acyclic(cx) if budget is None else frame_acyclic(cx, budget=budget)
+            assert _report(got) == want
+            failing += not want[0]
+            # an explicit list is checked in its own order, never truncated
+            assert _report(frame_acyclic(cx, found[::-1])) == ref_frame_acyclic(cx, found[::-1], False)
+    assert failing >= 3
+
+
+def test_public_boundary_matches_the_reference_for_every_level_and_sign(enumerated):
+    for cx, found, _ in enumerated:
+        sets = {frozenset(), cx.whole(), *(cx.closure([x]) for x in cx.elements()), *(m.members for m in found)}
+        for m in sets:
+            for n in (None, *range(-1, cx.dim + 3)):
+                level = cx.dim_of_subset(m) - 1 if n is None else n
+                want = {s: ref_boundary(cx, m, level, s) for s in SIGNS}
+                for s in SIGNS:
+                    assert cx.boundary(m, n, s) == want[s]
+                assert cx.boundary(m, n) == want[MINUS] | want[PLUS]
+                assert cx.boundary(m, n, None) == want[MINUS] | want[PLUS]
+
+
+def test_masks_and_ids_round_trip():
+    rng = random.Random(2)
+    for cx in COMPLEXES:
+        ix = cx._index()
+        # bits run in (dim, id) order, so a mask's top bit has its dimension
+        assert list(ix.ids) == sorted(cx.elements(), key=lambda x: (cx.dim_of(x), x))
+        assert ix.mask(cx.whole()) == (1 << len(cx)) - 1
+        for sub in _subsets(cx, rng, 20):
+            m = ix.mask(sub)
+            assert m.bit_count() == len(sub)
+            assert ix.members(m) == frozenset(sub)
+            assert ix.dim(m) == cx.dim_of_subset(sub)
+            assert ix.members(ix.closure(m)) == ref_closure(cx, sub)
+            assert ix.members(ix.maximal(m)) == ref_maximal(cx, frozenset(sub))
+        for _ in range(20):
+            m = rng.getrandbits(len(cx))
+            assert ix.mask(ix.members(m)) == m
