@@ -7,7 +7,8 @@ only; the member set of a node is derived from them (the closure of an
 atom's top, the union of a pasting's halves).  Constructors (`globe`,
 `paste`, `cell_to`, `compos`, `substitute`) build certificates as they go;
 `recognize` rebuilds one from a bare closed subset by exhaustive split
-search, which is complete up to dimension 3.
+search (complete up to dimension 3) on the complex's bitmask index, one
+search per subset on an explicit stack, so its depth does not grow.
 
 `paste`, `cell_to` and `substitute` share one gluing step: keep a subset of
 each side, identify right elements with left ones along a boundary
@@ -17,9 +18,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, TypeVar
+from typing import Callable, Generator, Iterator, Mapping, TypeVar
 
-from .ogp import Complex, MINUS, PLUS, SIGNS, spherical_boundary
+from .ogp import Complex, MINUS, PLUS, SIGNS, _Index, spherical_boundary
 
 T = TypeVar("T")
 
@@ -463,7 +464,11 @@ def substitute(u: Molecule, v_members: frozenset[str], w: Molecule, name: str | 
 # -- recognition ---------------------------------------------------------------
 
 
-def recognize(cx: Complex, members: frozenset[str], _memo: dict | None = None):
+#: What recognition finds for one subset: a certificate, None or UNKNOWN.
+_Found = Atom | Pasting | _Unknown | None
+
+
+def recognize(cx: Complex, members: frozenset[str]):
     """Reconstruct a molecule certificate for a closed subset.
 
     Returns a handle, ``None`` when the subset is certainly not a molecule,
@@ -471,70 +476,81 @@ def recognize(cx: Complex, members: frozenset[str], _memo: dict | None = None):
     failure is inconclusive).  Complete for subsets of dimension <= 3 in a
     complex whose cells are themselves well-formed.
     """
-    from .orders import _lex_topo, frame_dimension, maxd
-
-    if _memo is None:
-        _memo = {}
-    if members in _memo:
-        return _memo[members]
     if not members:
         return None
-    if not cx.is_closed(members):
+    ix = cx._index()
+    root = ix.mask(members)
+    if ix.closure(root) != root:
         raise ValueError("recognition expects a closed subset")
     maximal = cx.maximal(members)
     if len(maximal) == 1:
-        res = Molecule(cx, members, Atom(next(iter(maximal))))
-        _memo[members] = res
-        return res
-    n = cx.dim_of_subset(members)
+        return Molecule(cx, members, Atom(next(iter(maximal))))
+    # searches under way, innermost last; each yields a half and is sent its result
+    memo: dict[int, _Found] = {}
+    stack = [(root, _split_search(ix, root))]
+    got = None
+    while stack:
+        m, search = stack[-1]
+        try:
+            half = search.send(got)
+        except StopIteration as done:
+            got = memo[m] = done.value
+            stack.pop()
+            continue
+        if half not in memo:
+            stack.append((half, _split_search(ix, half)))
+        got = memo.get(half)  # None starts a new search
+    return got if got is None or got is UNKNOWN else Molecule(cx, members, got)
+
+
+def _split_search(ix: _Index, m: int) -> Generator[int, _Found, _Found]:
+    """`recognize`'s search on a nonempty closed mask: at each level k from the
+    frame dimension up, each cut i of the `_lex_topo` order of the high cells
+    is tried twice (the cells from i on with the output k-boundary, then the
+    cells before i with the input k-boundary, each against the rest)."""
+    from .orders import _frame_graph, _lex_topo
+
+    maximal = ix.maximal(m)
+    if not maximal & (maximal - 1):
+        return Atom(ix.ids[maximal.bit_length() - 1])
+    n = ix.dim(m)
     inconclusive = n >= 4
-    frd = frame_dimension(cx, members)
-    for k in range(max(frd, 0), n):
-        order = _lex_topo(maxd(cx, members, k).adjacency)
+    for k in range(max(ix.frame_dimension(maximal), 0), n):
+        tail = maximal & ~ix.below(k + 1)
+        if not tail & (tail - 1):  # fewer than two high cells
+            continue
+        order = _lex_topo(_frame_graph(ix, m, k).adjacency)
         if order is None:
             continue
-        highs = [x for x in order if x in maximal and cx.dim_of(x) > k]
-        if len(highs) < 2:
-            continue
-        bplus = cx.boundary(members, k, PLUS)
-        bminus = cx.boundary(members, k, MINUS)
+        highs = [i for i in map(ix.pos.__getitem__, order) if ix.dims[i] > k]
+        bminus, bplus = ix.boundary(m, k, MINUS), ix.boundary(m, k, PLUS)
+        head = 0  # the high cells before cut i; tail holds those from i on
         for i in range(1, len(highs)):
-            for u1_members, u2_members in _split_candidates(cx, members, highs, i, k, bminus, bplus):
-                if not u1_members or not u2_members:
+            head |= 1 << highs[i - 1]
+            tail ^= 1 << highs[i - 1]
+            for from_tail in (True, False):
+                if from_tail:
+                    right = ix.closure(tail) | bplus
+                    left = ix.closure(m & ~right | ix.boundary(right, k, MINUS))
+                else:
+                    left = ix.closure(head) | bminus
+                    right = ix.closure(m & ~left | ix.boundary(left, k, PLUS))
+                if not _is_split(ix, m, left, right, k):
                     continue
-                if u1_members == members or u2_members == members:
-                    continue
-                if not _is_split(cx, members, u1_members, u2_members, k):
-                    continue
-                left = recognize(cx, u1_members, _memo)
-                if left is None or left is UNKNOWN:
-                    inconclusive = inconclusive or left is UNKNOWN
-                    continue
-                right = recognize(cx, u2_members, _memo)
-                if right is None or right is UNKNOWN:
-                    inconclusive = inconclusive or right is UNKNOWN
-                    continue
-                res = Molecule(cx, members, Pasting(k, left.certificate, right.certificate))
-                _memo[members] = res
-                return res
-    res = UNKNOWN if inconclusive else None
-    _memo[members] = res
-    return res
+                lcert = yield left
+                rcert = (yield right) if lcert else None
+                if lcert and rcert:
+                    return Pasting(k, lcert, rcert)
+                inconclusive = inconclusive or lcert is UNKNOWN or rcert is UNKNOWN
+    return UNKNOWN if inconclusive else None
 
 
-def _is_split(cx: Complex, members: frozenset[str], left: frozenset[str], right: frozenset[str], k: int) -> bool:
-    """Whether ``members`` is ``left`` pasted to ``right`` along their shared k-boundary."""
-    if left | right != members:
+def _is_split(ix: _Index, m: int, left: int, right: int, k: int) -> bool:
+    """Whether the mask ``m`` is ``left`` pasted to ``right`` along their shared k-boundary."""
+    if left | right != m:
         return False
     shared = left & right
-    return cx.boundary(left, k, PLUS) == shared and cx.boundary(right, k, MINUS) == shared
-
-
-def _split_candidates(cx, members, highs, i, k, bminus, bplus):
-    suffix = cx.closure(highs[i:]) | bplus
-    yield cx.closure(members - (suffix - cx.boundary(suffix, k, MINUS))), suffix
-    prefix = cx.closure(highs[:i]) | bminus
-    yield prefix, cx.closure(members - (prefix - cx.boundary(prefix, k, PLUS)))
+    return ix.boundary(left, k, PLUS) == shared and ix.boundary(right, k, MINUS) == shared
 
 
 def _enumerate_masks(cx: Complex, max_count: int) -> tuple[dict[int, Atom | Pasting], bool]:
@@ -608,16 +624,18 @@ def certificate_ok(u: Molecule) -> bool:
     exactly in the matched k-boundary.  The root must certify ``u.members``.
     """
     cx = u.complex
+    ix = cx._index()
 
-    def atom(a: Atom) -> frozenset[str] | None:
-        return cx.closure([a.top]) if a.top in cx else None
+    def atom(a: Atom) -> int | None:
+        return ix.down[ix.pos[a.top]] if a.top in cx else None
 
-    def paste(p: Pasting, left: frozenset[str] | None, right: frozenset[str] | None) -> frozenset[str] | None:
-        if left is None or right is None or not _is_split(cx, left | right, left, right, p.k):
+    def paste(p: Pasting, left: int | None, right: int | None) -> int | None:
+        if left is None or right is None or not _is_split(ix, left | right, left, right, p.k):
             return None
         return left | right
 
-    return _fold(u.certificate, atom, paste) == u.members
+    got = _fold(u.certificate, atom, paste)
+    return got is not None and ix.members(got) == u.members
 
 
 def certificate_json(u: Molecule) -> dict:

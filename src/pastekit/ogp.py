@@ -41,11 +41,11 @@ class _Index:
     dimension fill one contiguous bit range and the dimension of a nonempty
     mask is the dimension of its top bit.  A subset is an ``int`` whose bit
     ``i`` marks element ``ids[i]``.  Each element has a downset mask (its
-    closure), a cover mask, and one coface mask per sign; boundaries of
-    atoms are cached here as masks.
+    closure), a cover mask, and one coface mask per sign; each cell's sides
+    in the frame graphs of each level are cached here as masks.
     """
 
-    __slots__ = ("ids", "pos", "dims", "lower", "down", "cover", "cofaces", "atom_bd")
+    __slots__ = ("ids", "pos", "dims", "lower", "down", "cover", "cofaces", "sides")
 
     def __init__(self, cx: "Complex"):
         ids = tuple(x for d in range(cx.dim + 1) for x in cx.by_dim(d))
@@ -69,7 +69,7 @@ class _Index:
                 self.cofaces[sign][j] |= 1 << i
             self.cover.append(cover)
             self.down.append(down | 1 << i)
-        self.atom_bd: dict[tuple[int, int, str | None], int] = {}
+        self.sides: dict[tuple[int, int], tuple[int, int]] = {}
 
     def mask(self, members: Iterable[str]) -> int:
         pos = self.pos
@@ -160,12 +160,39 @@ class _Index:
         return out
 
     def atom_boundary(self, i: int, n: int, sign: str | None = None) -> int:
-        """``boundary(down[i], n, sign)``, cached per element."""
-        key = (i, n, sign)
-        got = self.atom_bd.get(key)
-        if got is None:
-            got = self.atom_bd[key] = self.boundary(self.down[i], n, sign)
-        return got
+        """``boundary(down[i], n, sign)``."""
+        return self.boundary(self.down[i], n, sign)
+
+    def frame_dimension(self, maximal: int) -> int:
+        """The greatest dimension in which two cells of ``maximal`` overlap, -1
+        when none do: the top bit of each cell's overlap with the cells before."""
+        down, dims = self.down, self.dims
+        seen, best, rest = 0, -1, maximal
+        while rest:
+            low = rest & -rest
+            i = low.bit_length() - 1
+            rest ^= low
+            overlap = down[i] & seen
+            if overlap:
+                best = max(best, dims[overlap.bit_length() - 1])
+            seen |= down[i]
+        return best
+
+    def frame_sides(self, m: int, maximal: int, n: int) -> list[tuple[int, int, int]]:
+        """``(cell, input, output)`` for each cell of ``maximal`` above dimension n: the
+        members of its input and output n-boundary off its (n-1)-boundary (cached per cell)."""
+        out = []
+        rest = maximal & ~self.below(n + 1)
+        while rest:
+            low = rest & -rest
+            i = low.bit_length() - 1
+            rest ^= low
+            got = self.sides.get((i, n))
+            if got is None:
+                rim = self.atom_boundary(i, n - 1)
+                got = self.sides[i, n] = tuple(self.atom_boundary(i, n, s) & ~rim for s in SIGNS)
+            out.append((i, got[0] & m, got[1] & m))
+        return out
 
 
 class Complex:
@@ -183,15 +210,16 @@ class Complex:
     Instances are immutable after construction and safe to share.  On first
     use a complex builds an integer index: its elements numbered in
     (dim, id) order, subsets held as ``int`` bitmasks, and each element's
-    downset, cover and signed coface masks.  Closures and boundaries are
-    mask arithmetic on that index, behind signatures that take and return
-    ``frozenset`` ids.  Derived per-element facts (each element's downset
-    and the boundaries of its closure) are cached lazily on the instance;
-    they only save recomputation and never change a result.
+    downset, cover and signed coface masks.  Closures, boundaries, source
+    sets, maximal elements and closedness are mask arithmetic on that index,
+    behind signatures that take and return ``frozenset`` ids.  The index
+    also caches each cell's input and output boundaries off its rim, which
+    frame graphs are built from; that only saves recomputation, and there is
+    no other per-element cache.
     """
 
     __slots__ = (
-        "name", "_dim", "_covers", "_cofaces", "_ids", "_by_dim", "_top_dim", "_ix", "_down", "_atom_bd"
+        "name", "_dim", "_covers", "_cofaces", "_ids", "_by_dim", "_top_dim", "_ix"
     )
 
     def __init__(self, name: str, elements: Mapping[str, tuple[int, Iterable[tuple[str, str]]]]):
@@ -233,8 +261,6 @@ class Complex:
         self._by_dim = {d: tuple(v) for d, v in by_dim.items()}
         self._top_dim = max(by_dim) if by_dim else -1
         self._ix: _Index | None = None
-        self._down: dict[str, frozenset[str]] = {}
-        self._atom_bd: dict[tuple[str, int, str | None], frozenset[str]] = {}
 
     # -- basic queries ----------------------------------------------------
 
@@ -284,41 +310,19 @@ class Complex:
             ix = self._ix = _Index(self)
         return ix
 
-    def _downset(self, x: str) -> frozenset[str]:
-        """``closure([x])``, cached per element."""
-        got = self._down.get(x)
-        if got is None:
-            ix = self._index()
-            got = self._down[x] = ix.members(ix.down[ix.pos[x]])
-        return got
-
     def closure(self, members: Iterable[str]) -> frozenset[str]:
         """Smallest downward-closed superset of ``members``."""
         members = tuple(members)
         for eid in members:
             if eid not in self._dim:
                 raise KeyError(f"{self.name}: unknown element {eid!r}")
-        if len(members) == 1:
-            return self._downset(members[0])
         ix = self._index()
         return ix.members(ix.closure(ix.mask(members)))
 
-    def _atom_boundary(self, x: str, n: int, sign: str | None = None) -> frozenset[str]:
-        """``boundary(closure([x]), n, sign)``, cached per element."""
-        key = (x, n, sign)
-        got = self._atom_bd.get(key)
-        if got is None:
-            ix = self._index()
-            got = self._atom_bd[key] = ix.members(ix.atom_boundary(ix.pos[x], n, sign))
-        return got
-
-    def _boundaries(self, members: frozenset[str], top: int) -> list[tuple[frozenset[str], frozenset[str]]]:
-        """``[(boundary(members, k, -), boundary(members, k, +)) for k < top]``."""
-        ix = self._index()
-        return [(ix.members(a), ix.members(b)) for a, b in ix.boundaries(ix.mask(members), top)]
-
     def is_closed(self, members: frozenset[str]) -> bool:
-        return all(t in members for x in members for t, _ in self._covers[x])
+        ix = self._index()
+        m = ix.mask(members)
+        return ix.closure(m) == m
 
     def maximal(self, members: frozenset[str]) -> frozenset[str]:
         """Elements of ``members`` not covered by any other member."""
@@ -330,13 +334,10 @@ class Complex:
 
         Members of dimension n with no covering member at all are included.
         """
-        out = []
-        for x in members:
-            if self._dim[x] != n:
-                continue
-            if all(s == sign for y, s in self._cofaces[x] if y in members):
-                out.append(x)
-        return frozenset(out)
+        ix = self._index()
+        m = ix.mask(members)
+        against = ix.cofaces[flip(sign)]
+        return frozenset(x for x in ix.members(m & ix.below(n + 1) & ~ix.below(n)) if not against[ix.pos[x]] & m)
 
     def boundary(self, members: frozenset[str], n: int | None = None, sign: str | None = None) -> frozenset[str]:
         """The input (``-``) or output (``+``) n-boundary of a closed subset.
@@ -452,20 +453,24 @@ class ValidationReport:
 
 def spherical_boundary(cx: Complex, members: frozenset[str]) -> bool:
     """Whether the two k-boundaries only meet in the (k-1)-boundary, all k."""
-    n = cx.dim_of_subset(members)
-    for k in range(n):
-        inner = cx.boundary(members, k - 1) if k > 0 else frozenset()
-        if cx.boundary(members, k, PLUS) & cx.boundary(members, k, MINUS) != inner:
+    ix = cx._index()
+    m = ix.mask(members)
+    inner = 0
+    for minus, plus in ix.boundaries(m, ix.dim(m)):
+        if minus & plus != inner:
             return False
+        inner = minus | plus
     return True
 
 
 def globular(cx: Complex, x: str) -> bool:
-    n = cx.dim_of(x)
+    ix = cx._index()
+    i = ix.pos[x]
+    n = ix.dims[i]
     for a in SIGNS:
-        want = cx._atom_boundary(x, n - 2, a)
+        want = ix.atom_boundary(i, n - 2, a)
         for b in SIGNS:
-            if cx.boundary(cx._atom_boundary(x, n - 1, b), n - 2, a) != want:
+            if ix.boundary(ix.atom_boundary(i, n - 1, b), n - 2, a) != want:
                 return False
     return True
 
@@ -480,16 +485,17 @@ def validate_complex(cx: Complex) -> ValidationReport:
     """
     from . import molecules  # recogniser lives one level up
 
+    ix = cx._index()
     checks = []
     unknowns = 0
     for x in cx.elements():
         n = cx.dim_of(x)
         if n < 1:
             continue
-        sph = spherical_boundary(cx, cx.closure([x]))
+        sph = spherical_boundary(cx, ix.members(ix.down[ix.pos[x]]))
         statuses = {}
         for a in SIGNS:
-            res = molecules.recognize(cx, cx._atom_boundary(x, n - 1, a))
+            res = molecules.recognize(cx, ix.members(ix.atom_boundary(ix.pos[x], n - 1, a)))
             if res is molecules.UNKNOWN:
                 statuses[a] = UNKNOWN
                 unknowns += 1

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .ogp import Complex, MINUS, PLUS
+from .ogp import Complex, MINUS, PLUS, _Index
 from . import molecules as mol
 
 
@@ -114,35 +114,30 @@ def maxd(cx: Complex, members: frozenset[str], n: int) -> MaxdGraph:
     input n-boundary (off the (n-1)-boundary), and a high cell points at the
     low elements of its output n-boundary likewise.
     """
-    maximal = cx.maximal(members)
-    low = tuple(x for x in sorted(members) if cx.dim_of(x) <= n)
-    high = tuple(x for x in sorted(maximal) if cx.dim_of(x) > n)
+    ix = cx._index()
+    return _frame_graph(ix, ix.mask(members), n)
+
+
+def _frame_graph(ix: _Index, m: int, n: int) -> MaxdGraph:
+    """`maxd` of a mask."""
+    ids = ix.ids
+    sides = ix.frame_sides(m, ix.maximal(m), n)
+    low = tuple(sorted(ix.members(m & ix.below(n + 1))))
+    high = tuple(sorted(ids[i] for i, _, _ in sides))
     adj: dict[str, list[str]] = {v: [] for v in low + high}
-    low_set = frozenset(low)
-    for x in high:
-        rim = cx._atom_boundary(x, n - 1)
-        for y in cx._atom_boundary(x, n, MINUS) - rim:
-            if y in low_set:
-                adj[y].append(x)
-        for y in cx._atom_boundary(x, n, PLUS) - rim:
-            if y in low_set:
-                adj[x].append(y)
-    return MaxdGraph(n, low, high, {v: tuple(sorted(set(ws))) for v, ws in adj.items()})
+    for i, into, out in sides:
+        for y in ix.members(into):
+            adj[y].append(ids[i])
+        adj[ids[i]].extend(ix.members(out))
+    return MaxdGraph(n, low, high, {v: tuple(sorted(ws)) for v, ws in adj.items()})
 
 
 def frame_dimension(cx: Complex, members: frozenset[str]) -> int:
     """Largest dimension along which two distinct maximal cells overlap."""
     if not members:
         raise ValueError("frame dimension of the empty subset is undefined")
-    # the greatest overlap of a cell with all cells before it is its
-    # overlap with the union of their closures
-    seen: set[str] = set()
-    best = -1
-    for x in cx.maximal(members):
-        cl = cx.closure([x])
-        best = max(best, cx.dim_of_subset(cl & seen))
-        seen |= cl
-    return best
+    ix = cx._index()
+    return ix.frame_dimension(ix.maximal(ix.mask(members)))
 
 
 @dataclass(frozen=True)
@@ -180,13 +175,12 @@ def frame_acyclic(
         listed = [u.members for u in molecule_list]
     for checked, members in enumerate(listed, 1):
         if _frame_loops(ix, ix.mask(members)):
-            k = frame_dimension(cx, members)
-            cycle = maxd(cx, members, max(k, 0)).find_cycle()
+            cycle = maxd(cx, members, max(frame_dimension(cx, members), 0)).find_cycle()
             return FrameAcyclicityReport(False, checked, truncated, members, cycle)
     return FrameAcyclicityReport(True, len(listed), truncated)
 
 
-def _frame_loops(ix, m: int) -> bool:
+def _frame_loops(ix: _Index, m: int) -> bool:
     """Whether the frame graph of a closed mask at its frame dimension has a cycle.
 
     The frame graph alternates low elements and high maximal cells, so it
@@ -196,34 +190,15 @@ def _frame_loops(ix, m: int) -> bool:
     maximal = ix.maximal(m)
     if not maximal & (maximal - 1):  # fewer than two maximal cells
         return False
-    down, dims = ix.down, ix.dims
-    # n is the frame dimension (at least 0, the least level of a frame
-    # graph): the greatest overlap of a maximal cell with the cells before
-    # it, whose top bit gives its dimension
-    cells = []
-    seen = n = 0
-    rest = maximal
-    while rest:
-        low = rest & -rest
-        i = low.bit_length() - 1
-        rest ^= low
-        cells.append(i)
-        overlap = down[i] & seen
-        if overlap:
-            n = max(n, dims[overlap.bit_length() - 1])
-        seen |= down[i]
-    sides = []
-    for i in cells:
-        if dims[i] > n:
-            rim = ix.atom_boundary(i, n - 1)
-            sides.append((ix.atom_boundary(i, n, MINUS) & ~rim & m, ix.atom_boundary(i, n, PLUS) & ~rim & m))
+    # at the frame dimension, or at 0, the least level of a frame graph
+    sides = ix.frame_sides(m, maximal, max(ix.frame_dimension(maximal), 0))
     # Kahn's algorithm in rounds: a cell is ready once no remaining cell's
     # output meets its input; a round with no ready cell means a cycle
     while sides:
         outputs = 0
-        for _, out in sides:
+        for _, _, out in sides:
             outputs |= out
-        blocked = [p for p in sides if p[0] & outputs]
+        blocked = [p for p in sides if p[1] & outputs]
         if len(blocked) == len(sides):
             return True
         sides = blocked
@@ -270,19 +245,19 @@ def frame_decomposition(u: mol.Molecule, k: int, order: KOrder) -> list[mol.Mole
     if order.k != k or not is_k_order(u, k, order.sequence):
         raise ValueError("not a k-order for this molecule")
     factors: list[mol.Molecule] = []
-    current = u.members
-    seq = list(order.sequence)
-    for i in range(len(seq) - 1):
-        suffix = cx.closure(seq[i + 1 :]) | cx.boundary(current, k, PLUS)
-        first = cx.closure(current - (suffix - cx.boundary(suffix, k, MINUS)))
-        if not mol._is_split(cx, current, first, suffix, k):
+    ix = cx._index()
+    current = ix.mask(u.members)
+    for i in range(len(order.sequence) - 1):
+        suffix = ix.closure(ix.mask(order.sequence[i + 1 :])) | ix.boundary(current, k, PLUS)
+        first = ix.closure(current & ~suffix | ix.boundary(suffix, k, MINUS))
+        if not mol._is_split(ix, current, first, suffix, k):
             raise RuntimeError(f"frame decomposition split failed at index {i}")
-        got = mol.recognize(cx, first)
+        got = mol.recognize(cx, ix.members(first))
         if got is None or got is mol.UNKNOWN:
             raise RuntimeError(f"frame decomposition factor at index {i} is not a molecule")
         factors.append(got)
         current = suffix
-    got = mol.recognize(cx, current)
+    got = mol.recognize(cx, ix.members(current))
     if got is None or got is mol.UNKNOWN:
         raise RuntimeError("frame decomposition tail is not a molecule")
     factors.append(got)
@@ -385,7 +360,8 @@ def slice_decomposition(u: mol.Molecule, i: mol.Molecule) -> tuple[mol.Molecule,
     below_cells = {x for x in u.members if cx.dim_of(x) == 2} - above_cells
     below = cx.closure(below_cells) | i.members
     above = cx.closure(above_cells) | i.members
-    if below & above != i.members or not mol._is_split(cx, u.members, below, above, 1):
+    ix = cx._index()
+    if below & above != i.members or not mol._is_split(ix, ix.mask(u.members), ix.mask(below), ix.mask(above), 1):
         raise ValueError("the cut does not slice the molecule")
     lo = mol.recognize(cx, below)
     hi = mol.recognize(cx, above)

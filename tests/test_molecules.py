@@ -1,3 +1,4 @@
+import inspect
 import sys
 
 import pytest
@@ -345,6 +346,28 @@ def test_certificate_walks_do_not_recurse_per_node():
         sys.setrecursionlimit(limit)
     assert len(longer.members) == len(u.members) + 2
     assert iso is not None and len(iso) == len(u.members)
+
+
+def test_recognition_depth_does_not_grow_with_the_chain(tmp_path, capsys):
+    from pastekit.cli import main
+    from pastekit.serialize import serialize_complex
+
+    # 300 arrows end to end, as an element table: recognition splits off one
+    # arrow at a time, 299 splits deep
+    table = {f"v{i:03d}": (0, []) for i in range(301)}
+    table.update({f"a{i:03d}": (1, [(f"v{i:03d}", MINUS), (f"v{i + 1:03d}", PLUS)]) for i in range(300)})
+    cx = Complex("chain300", table)
+    path = tmp_path / "chain300.json"
+    path.write_bytes(serialize_complex(cx))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        u = recognize(cx, cx.whole())
+        assert isinstance(u, Molecule) and u.members == cx.whole() and certificate_ok(u)
+        assert main(["compos", str(path)]) == 0
+    finally:
+        sys.setrecursionlimit(limit)
+    assert '"top"' in capsys.readouterr().out
 
 
 def test_paste_associative_at_level_one():

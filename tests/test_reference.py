@@ -26,15 +26,21 @@ from pastekit import (
     Molecule,
     PLUS,
     Pasting,
+    UNKNOWN,
     certificate_json,
+    certificate_ok,
     enumerate_molecules,
     frame_acyclic,
     frame_dimension,
+    globe,
+    gray_product,
     interval_chain,
     maxd,
+    recognize,
+    spherical_boundary,
     validate_complex,
 )
-from pastekit.orders import _find_cycle
+from pastekit.orders import _find_cycle, _lex_topo
 
 SIGNS = (MINUS, PLUS)
 
@@ -182,6 +188,18 @@ def test_closure_matches_the_cover_walk():
             cx.closure([cx.elements()[0], "no such element"])
 
 
+def index_boundaries(cx: Complex, members: frozenset[str], top: int) -> list[tuple[frozenset[str], ...]]:
+    """``_Index.boundaries`` of a member set, as member sets."""
+    ix = cx._index()
+    return [tuple(ix.members(b) for b in pair) for pair in ix.boundaries(ix.mask(members), top)]
+
+
+def index_atom_boundary(cx: Complex, x: str, n: int, sign: str | None = None) -> frozenset[str]:
+    """``_Index.atom_boundary`` of an element, as a member set."""
+    ix = cx._index()
+    return ix.members(ix.atom_boundary(ix.pos[x], n, sign))
+
+
 def test_boundaries_match_per_call_boundary(enumerated):
     for cx, found, _ in enumerated:
         # the empty set, the whole complex, every atom and every enumerated member set
@@ -189,9 +207,9 @@ def test_boundaries_match_per_call_boundary(enumerated):
         for m in sets:
             assert cx.maximal(m) == ref_maximal(cx, m)
             want = [tuple(ref_boundary(cx, m, k, s) for s in SIGNS) for k in range(cx.dim)]
-            assert cx._boundaries(m, cx.dim) == want
+            assert index_boundaries(cx, m, cx.dim) == want
             # a top below the set's dimension computes only the lower levels
-            assert cx._boundaries(m, cx.dim - 1) == want[: cx.dim - 1]
+            assert index_boundaries(cx, m, cx.dim - 1) == want[: cx.dim - 1]
             for k in range(-1, cx.dim + 1):
                 for s in SIGNS:
                     assert cx.boundary(m, k, s) == ref_boundary(cx, m, k, s)
@@ -199,9 +217,9 @@ def test_boundaries_match_per_call_boundary(enumerated):
             cl = ref_closure(cx, [x])
             for k in range(-1, cx.dim_of(x) + 1):
                 for s in SIGNS:
-                    assert cx._atom_boundary(x, k, s) == ref_boundary(cx, cl, k, s)
+                    assert index_atom_boundary(cx, x, k, s) == ref_boundary(cx, cl, k, s)
                 both = ref_boundary(cx, cl, k, MINUS) | ref_boundary(cx, cl, k, PLUS)
-                assert cx._atom_boundary(x, k) == both
+                assert index_atom_boundary(cx, x, k) == both
 
 
 def test_frame_dimension_and_frame_graphs_match_the_pairwise_reference(enumerated):
@@ -242,8 +260,10 @@ def test_derived_complexes_do_not_share_caches():
     cx = COMPLEXES[0]
     top = max(cx.elements(), key=cx.dim_of)
     for x in cx.elements():
-        cx._atom_boundary(x, cx.dim_of(x) - 1, MINUS)
-    cx._boundaries(cx.whole(), cx.dim)
+        index_atom_boundary(cx, x, cx.dim_of(x) - 1, MINUS)
+    index_boundaries(cx, cx.whole(), cx.dim)
+    for n in range(cx.dim):  # fills the index's cache of frame-graph sides
+        maxd(cx, cx.whole(), n)
     derived = [
         cx.dual(),
         cx.dual(dims=[1]),
@@ -253,14 +273,15 @@ def test_derived_complexes_do_not_share_caches():
         cx.restrict(cx.whole()),
     ]
     for d in derived:
-        assert d._down is not cx._down
-        assert d._atom_bd is not cx._atom_bd
+        assert d._index() is not cx._index()
         # results on the derived complex come from its own covers
         for x in d.elements():
             assert d.closure([x]) == ref_closure(d, [x])
             for s in SIGNS:
                 k = d.dim_of(x) - 1
-                assert d._atom_boundary(x, k, s) == ref_boundary(d, ref_closure(d, [x]), k, s)
+                assert index_atom_boundary(d, x, k, s) == ref_boundary(d, ref_closure(d, [x]), k, s)
+        for n in range(d.dim):
+            assert maxd(d, d.whole(), n).adjacency == ref_maxd_adjacency(d, d.whole(), n)
 
 
 def ref_frame_acyclic(cx: Complex, molecules: list[Molecule], truncated: bool) -> tuple:
@@ -324,3 +345,116 @@ def test_masks_and_ids_round_trip():
         for _ in range(20):
             m = rng.getrandbits(len(cx))
             assert ix.mask(ix.members(m)) == m
+
+
+def ref_recognize(cx: Complex, members: frozenset[str], memo: dict | None = None):
+    """Recognition by recursion on member sets, over the reference boundaries,
+    closures and frame graphs."""
+    if memo is None:
+        memo = {}
+    if members in memo:
+        return memo[members]
+    if not members:
+        return None
+    maximal = ref_maximal(cx, members)
+    if len(maximal) == 1:
+        res = memo[members] = Molecule(cx, members, Atom(next(iter(maximal))))
+        return res
+    n = cx.dim_of_subset(members)
+    inconclusive = n >= 4
+    for k in range(max(ref_frame_dimension(cx, members), 0), n):
+        order = _lex_topo(ref_maxd_adjacency(cx, members, k))
+        if order is None:
+            continue
+        highs = [x for x in order if x in maximal and cx.dim_of(x) > k]
+        if len(highs) < 2:
+            continue
+        bplus = ref_boundary(cx, members, k, PLUS)
+        bminus = ref_boundary(cx, members, k, MINUS)
+        for i in range(1, len(highs)):
+            for u1, u2 in ref_split_candidates(cx, members, highs, i, k, bminus, bplus):
+                if not u1 or not u2 or u1 == members or u2 == members:
+                    continue
+                if not ref_is_split(cx, members, u1, u2, k):
+                    continue
+                left = ref_recognize(cx, u1, memo)
+                if left is None or left is UNKNOWN:
+                    inconclusive = inconclusive or left is UNKNOWN
+                    continue
+                right = ref_recognize(cx, u2, memo)
+                if right is None or right is UNKNOWN:
+                    inconclusive = inconclusive or right is UNKNOWN
+                    continue
+                res = memo[members] = Molecule(cx, members, Pasting(k, left.certificate, right.certificate))
+                return res
+    res = memo[members] = UNKNOWN if inconclusive else None
+    return res
+
+
+def ref_is_split(cx: Complex, members, left, right, k: int) -> bool:
+    if left | right != members:
+        return False
+    shared = left & right
+    return ref_boundary(cx, left, k, PLUS) == shared and ref_boundary(cx, right, k, MINUS) == shared
+
+
+def ref_split_candidates(cx: Complex, members, highs, i, k, bminus, bplus):
+    suffix = ref_closure(cx, highs[i:]) | bplus
+    yield ref_closure(cx, members - (suffix - ref_boundary(cx, suffix, k, MINUS))), suffix
+    prefix = ref_closure(cx, highs[:i]) | bminus
+    yield prefix, ref_closure(cx, members - (prefix - ref_boundary(cx, prefix, k, PLUS)))
+
+
+def _closed_sets(cx: Complex, found: list[Molecule]) -> set[frozenset[str]]:
+    """Every enumerated member set, atom closure and atom boundary, and the whole complex."""
+    sets = {cx.whole(), *(u.members for u in found)}
+    for x in cx.elements():
+        cl = ref_closure(cx, [x])
+        sets.add(cl)
+        sets.update(ref_boundary(cx, cl, k, s) for k in range(cx.dim_of(x)) for s in SIGNS)
+    return sets
+
+
+def _found(res) -> object:
+    return res if res is None or res is UNKNOWN else certificate_json(res)
+
+
+def _disjoint_globes(n: int) -> Complex:
+    """Two disjoint copies of the n-globe: not a molecule."""
+    o = globe(n)
+    table = {f"{tag}{x}": (o.dim_of(x), [(f"{tag}{t}", s) for t, s in o.covers(x)]) for tag in "ab" for x in o}
+    return Complex(f"pair{n}", table)
+
+
+def test_recognize_matches_the_recursive_reference(enumerated):
+    # beside the corpus, two 4-dimensional complexes: a molecule, and a
+    # non-molecule whose failed search is inconclusive above dimension 3
+    extra = [gray_product(globe(2), globe(2)), _disjoint_globes(4)]
+    outcomes = set()
+    for cx, found, _ in [*enumerated, *((cx, *ref_enumerate(cx)) for cx in extra)]:
+        for m in _closed_sets(cx, found):
+            got = recognize(cx, m)
+            assert _found(got) == _found(ref_recognize(cx, m)), (cx.name, sorted(m))
+            if got is not None and got is not UNKNOWN:
+                assert got.members == m and certificate_ok(got)
+            outcomes.add("found" if got else repr(got))
+    assert outcomes == {"found", "None", "UNKNOWN"}
+
+
+def test_spherical_boundary_matches_the_per_level_reference(enumerated):
+    def ref_spherical(cx: Complex, m: frozenset[str]) -> bool:
+        inner: frozenset[str] = frozenset()
+        for k in range(cx.dim_of_subset(m)):
+            minus, plus = ref_boundary(cx, m, k, MINUS), ref_boundary(cx, m, k, PLUS)
+            if minus & plus != inner:
+                return False
+            inner = minus | plus
+        return True
+
+    seen = set()
+    for cx, found, _ in enumerated:
+        for m in _closed_sets(cx, found) | {frozenset()}:
+            want = ref_spherical(cx, m)
+            assert spherical_boundary(cx, m) == want, (cx.name, sorted(m))
+            seen.add(want)
+    assert seen == {True, False}
