@@ -93,11 +93,7 @@ class SystemExitWith(Exception):
 def cmd_paste(args) -> int:
     a, _ = _load_complex(args.left)
     b, _ = _load_complex(args.right)
-    try:
-        glued = mol.paste(_whole_molecule(a), _whole_molecule(b), args.k)
-    except mol.PastingError as exc:
-        raise SystemExitWith(SEMANTIC_ERROR, str(exc)) from exc
-    _emit(serialize_complex(glued.complex))
+    _emit(serialize_complex(mol.paste(_whole_molecule(a), _whole_molecule(b), args.k).complex))
     return 0
 
 
@@ -119,11 +115,7 @@ def cmd_atom(args) -> int:
 
 def cmd_compos(args) -> int:
     cx, _ = _load_complex(args.file)
-    try:
-        out = mol.compos(_whole_molecule(cx))
-    except mol.PastingError as exc:
-        raise SystemExitWith(SEMANTIC_ERROR, str(exc)) from exc
-    _emit(serialize_complex(out.complex))
+    _emit(serialize_complex(mol.compos(_whole_molecule(cx)).complex))
     return 0
 
 
@@ -183,10 +175,7 @@ def cmd_export(args) -> int:
     except ParseError:
         cx, _ = parse_complex(raw)
         lc = LabelledComplex(cx, {x: x for x in cx.elements()})
-    try:
-        _emit(export_svg_2diagram(lc))
-    except ValueError as exc:
-        raise SystemExitWith(SEMANTIC_ERROR, str(exc)) from exc
+    _emit(export_svg_2diagram(lc))
     return 0
 
 

@@ -10,9 +10,9 @@ atom's top, the union of a pasting's halves).  Constructors (`globe`,
 search (complete up to dimension 3) on the complex's bitmask index, one
 search per subset on an explicit stack, so its depth does not grow.
 
-`paste`, `cell_to` and `substitute` share one gluing step: keep a subset of
-each side, identify right elements with left ones along a boundary
-isomorphism, and rename the rest ``left/x`` and ``right/y``.
+`paste`, `cell_to`, `compos` and `substitute` share one gluing step: keep
+a subset of each side, identify right elements with left ones, and rename
+the rest ``left/x`` and ``right/y``.
 """
 from __future__ import annotations
 
@@ -345,8 +345,8 @@ def _rename(cert: Atom | Pasting, mapping: Mapping[str, str]) -> Atom | Pasting:
     return _fold(cert, lambda a: Atom(mapping[a.top]), lambda p, left, right: Pasting(p.k, left, right))
 
 
-def cell_to(u: Molecule, v: Molecule, name: str | None = None, top: str = "top") -> Molecule:
-    """Adjoin a greatest element over two boundary-matched spherical molecules.
+def cell_to(u: Molecule, v: Molecule, name: str | None = None) -> Molecule:
+    """Adjoin a greatest element ``top`` over two boundary-matched spherical molecules.
 
     The result is an atom one dimension up whose input boundary is a copy of
     ``u`` and output boundary a copy of ``v``.
@@ -366,38 +366,46 @@ def cell_to(u: Molecule, v: Molecule, name: str | None = None, top: str = "top")
         "boundary isomorphisms disagree on the shared sphere",
     )
     ident = {y: x for x, y in iso.items()}
-    table, left_map, right_map = _glue(u.complex, u.members, v.complex, v.members, ident)
-    top_cov = [(left_map[x], MINUS) for x in sorted(u.members) if u.complex.dim_of(x) == n]
-    top_cov += [
-        (right_map[y], PLUS)
-        for y in sorted(v.members)
-        if v.complex.dim_of(y) == n and y not in ident
-    ]
+    return _cap(u.complex, u.members, v.complex, v.members, ident, n, name)
+
+
+def _cap(
+    lcx: Complex, lo: frozenset[str], rcx: Complex, hi: frozenset[str],
+    ident: Mapping[str, str], n: int, name: str | None,
+) -> Molecule:
+    """The atom ``top`` of dimension n+1 over the n-molecules ``lo`` and ``hi``
+    glued along ``ident`` (right id -> left id), checked to have them as its
+    input and output boundary; the complex is named ``(lcx=>rcx)`` by default."""
+    table, left_map, right_map = _glue(lcx, lo, rcx, hi, ident)
+    top_cov = [(left_map[x], MINUS) for x in sorted(lo) if lcx.dim_of(x) == n]
+    top_cov += [(right_map[y], PLUS) for y in sorted(hi) if rcx.dim_of(y) == n and y not in ident]
     if not top_cov:
         raise PastingError("cell_to would create a cell with no faces")
-    table[top] = (n + 1, top_cov)
-    cx = Complex(name or f"({u.complex.name}=>{v.complex.name})", table)
+    table["top"] = (n + 1, top_cov)
+    cx = Complex(name or f"({lcx.name}=>{rcx.name})", table)
     # sanity: the new top's boundaries are the two halves
     cl = cx.whole()
     if cx.boundary(cl, n, MINUS) != frozenset(left_map.values()):
         raise RuntimeError("cell_to: input boundary does not reproduce the source")
     if cx.boundary(cl, n, PLUS) != frozenset(right_map.values()):
         raise RuntimeError("cell_to: output boundary does not reproduce the target")
-    return Molecule(cx, cl, Atom(top), left_map, right_map)
+    return Molecule(cx, cl, Atom("top"), left_map, right_map)
 
 
 def compos(u: Molecule, name: str | None = None) -> Molecule:
-    """The atom with the same boundary as a spherical molecule."""
+    """The atom with the same boundary as a spherical molecule.
+
+    By globularity the (n-1)-boundaries of ``u`` meet exactly in its
+    (n-2)-boundary, so they are glued along the identity there: no
+    recognition, no isomorphism search, and no ``UNKNOWN`` above dimension 3.
+    """
     if not spherical(u):
         raise PastingError(f"{u.complex.name}: composite cell needs a spherical boundary")
     n = u.dim
     if n == 0:
         return u
-    lo = recognize(u.complex, u.boundary(n - 1, MINUS))
-    hi = recognize(u.complex, u.boundary(n - 1, PLUS))
-    if lo is None or lo is UNKNOWN or hi is None or hi is UNKNOWN:
-        raise PastingError(f"{u.complex.name}: boundary of composite not recognised as a molecule")
-    return cell_to(lo, hi, name=name)
+    lo, hi = u.boundary(n - 1, MINUS), u.boundary(n - 1, PLUS)
+    return _cap(u.complex, lo, u.complex, hi, {x: x for x in lo & hi}, n - 1, name)
 
 
 def substitute(u: Molecule, v_members: frozenset[str], w: Molecule, name: str | None = None) -> Molecule:

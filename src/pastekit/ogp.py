@@ -45,11 +45,12 @@ class _Index:
     in the frame graphs of each level are cached here as masks.
     """
 
-    __slots__ = ("ids", "pos", "dims", "lower", "down", "cover", "cofaces", "sides")
+    __slots__ = ("name", "ids", "pos", "dims", "lower", "down", "cover", "cofaces", "sides")
 
     def __init__(self, cx: "Complex"):
         ids = tuple(x for d in range(cx.dim + 1) for x in cx.by_dim(d))
         pos = {x: i for i, x in enumerate(ids)}
+        self.name = cx.name
         self.ids = ids
         self.pos = pos
         self.dims = [cx.dim_of(x) for x in ids]
@@ -74,8 +75,11 @@ class _Index:
     def mask(self, members: Iterable[str]) -> int:
         pos = self.pos
         out = 0
-        for x in members:
-            out |= 1 << pos[x]
+        try:
+            for x in members:
+                out |= 1 << pos[x]
+        except KeyError as exc:
+            raise KeyError(f"{self.name}: unknown element {exc.args[0]!r}") from None
         return out
 
     def members(self, m: int) -> frozenset[str]:
@@ -92,9 +96,9 @@ class _Index:
         return self.dims[m.bit_length() - 1] if m else -1
 
     def below(self, n: int) -> int:
-        """The mask of all elements of dimension < ``n``, for ``n >= 0``."""
+        """The mask of all elements of dimension < ``n``: none when ``n <= 0``."""
         lower = self.lower
-        return lower[n] if n < len(lower) else lower[-1]
+        return lower[n] if 0 <= n < len(lower) else 0 if n < 0 else lower[-1]
 
     def closure(self, m: int) -> int:
         """The downset of ``m``: each step takes the top bit not yet covered."""
@@ -312,10 +316,6 @@ class Complex:
 
     def closure(self, members: Iterable[str]) -> frozenset[str]:
         """Smallest downward-closed superset of ``members``."""
-        members = tuple(members)
-        for eid in members:
-            if eid not in self._dim:
-                raise KeyError(f"{self.name}: unknown element {eid!r}")
         ix = self._index()
         return ix.members(ix.closure(ix.mask(members)))
 

@@ -428,6 +428,7 @@ def check_sim_substitution(
     n = u.dim
     if n not in (2, 3):
         raise ValueError("simultaneous substitution is checked in dimensions 2 and 3")
+    sites = []
     for part, label in ((v_members, "first"), (w_members, "second")):
         if not part <= u.members or not cx.is_closed(part):
             raise ValueError(f"{label} site is not a closed subset of the molecule")
@@ -436,6 +437,7 @@ def check_sim_substitution(
             raise ValueError(f"{label} site is not a molecule")
         if not mol.spherical(got):
             raise ValueError(f"{label} site does not have a spherical boundary")
+        sites.append(got)
     if v_members == w_members:
         # collapsing the site leaves its own composite, a submolecule by
         # construction, so an identical pair is trivially compatible
@@ -444,10 +446,8 @@ def check_sim_substitution(
     if not (v_members & w_members) <= vb:
         raise ValueError("sites overlap beyond their boundaries")
 
-    def one_way(first: frozenset[str], second: frozenset[str]) -> SimSubstitutionReport:
-        fh = mol.recognize(cx, first)
-        assert fh is not None and fh is not mol.UNKNOWN
-        collapsed = mol.substitute(u, first, mol.compos(fh))
+    def one_way(first: mol.Molecule, second: frozenset[str]) -> SimSubstitutionReport:
+        collapsed = mol.substitute(u, first.members, mol.compos(first))
         assert collapsed.left_map is not None
         image = frozenset(collapsed.left_map[x] for x in second)
         sh = mol.recognize(collapsed.complex, image)
@@ -463,12 +463,12 @@ def check_sim_substitution(
             return SimSubstitutionReport(False, path, str(exc), collapsed, image)
         return SimSubstitutionReport(True)
 
-    first_way = one_way(v_members, w_members)
+    first_way = one_way(sites[0], w_members)
     if not first_way:
         if n == 2:
             raise RuntimeError("dimension-2 simultaneous substitution must not fail")
         return first_way
-    second_way = one_way(w_members, v_members)
+    second_way = one_way(sites[1], v_members)
     if not second_way and n == 2:
         raise RuntimeError("dimension-2 simultaneous substitution must not fail")
     return second_way

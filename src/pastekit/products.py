@@ -10,7 +10,7 @@ presentation level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .ogp import Complex, MINUS, PLUS, flip, validate_complex
 
@@ -116,26 +116,16 @@ def gray_labelled(
     return LabelledComplex(shape, labels, pairs)
 
 
-def smash_collapse(
-    x: LabelledComplex, basepoint_fibers: Callable[[str], bool] | None = None
-) -> LabelledComplex:
+def smash_collapse(x: LabelledComplex) -> LabelledComplex:
     """Relabel to the basepoint every element lying over a wedge coordinate.
 
-    By default an element collapses when either coordinate label of its
-    product pair is the basepoint; the shape itself is unchanged, collapse
-    being recorded purely in labels.
+    An element collapses when either coordinate label of its product pair is
+    the basepoint, so ``x`` must carry pair labels (`gray_labelled` output);
+    the shape itself is unchanged, collapse being recorded purely in labels.
     """
-    if basepoint_fibers is None:
-        if x.pairs is None:
-            raise ProductError("collapse needs pair labels or an explicit predicate")
-
-        def basepoint_fibers(eid: str) -> bool:
-            lx, ly = x.pairs[eid]
-            return lx == BASEPOINT or ly == BASEPOINT
-
-    labels = {
-        e: BASEPOINT if basepoint_fibers(e) else lbl for e, lbl in x.labels.items()
-    }
+    if x.pairs is None:
+        raise ProductError("collapse needs pair labels")
+    labels = {e: BASEPOINT if BASEPOINT in x.pairs[e] else lbl for e, lbl in x.labels.items()}
     return LabelledComplex(x.shape, labels, x.pairs)
 
 

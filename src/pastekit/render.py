@@ -2,16 +2,17 @@
 
 DOT output ranks elements by dimension and draws the oriented Hasse graph
 (input-labelled edges reversed).  The SVG exporter lays a diagram of
-dimension <= 2 out slice by slice in its canonical cell order; dashed wires
-and nodeless cells mark basepoint labels.  Layout is best-effort; tests
-assert labels and connectivity, never pixels.
+dimension <= 2 out slice by slice in its canonical cell order, each wire
+layer in the topological order of its Hasse graph (`totally_loop_free`);
+dashed wires and nodeless cells mark basepoint labels.  Layout is
+best-effort; tests assert labels and connectivity, never pixels.
 """
 from __future__ import annotations
 
 from typing import Mapping
 
 from .ogp import Complex, MINUS, PLUS
-from .orders import MaxdGraph, normal_order_of_subset
+from .orders import MaxdGraph, normal_order_of_subset, totally_loop_free
 from .products import BASEPOINT, LabelledComplex
 
 
@@ -51,28 +52,14 @@ def export_dot_maxd(g: MaxdGraph, name: str = "maxd") -> str:
 
 
 def _wire_sequence(cx: Complex, wires: frozenset[str]) -> list[str]:
-    """Order the 1-cells of a 1-dimensional closed subset along their path."""
-    ones = [x for x in wires if cx.dim_of(x) == 1]
-    if not ones:
-        return []
-    start = cx.boundary(wires, 0, MINUS)
-    if len(start) != 1:
+    """The 1-cells of a 1-dimensional closed subset in path order: the total order of
+    its Hasse graph, if the only edges join neighbours and both ends are vertices."""
+    rep = totally_loop_free(cx, wires)
+    ones = [x for x in rep.order or () if cx.dim_of(x) == 1]
+    edges = sum(map(len, rep.adjacency.values()))
+    if rep.order is None or wires and not edges == len(wires) - 1 == 2 * len(ones):
         raise ValueError("wire layer is not a single path")
-    at = next(iter(start))
-    by_source = {}
-    for w in ones:
-        src = [t for t, s in cx.covers(w) if s == MINUS]
-        if len(src) != 1:
-            raise ValueError("wire without a single source endpoint")
-        if src[0] in by_source:
-            raise ValueError("wire layer is not a single path")
-        by_source[src[0]] = w
-    out = []
-    for _ in ones:
-        w = by_source[at]
-        out.append(w)
-        at = next(t for t, s in cx.covers(w) if s == PLUS)
-    return out
+    return ones
 
 
 def export_svg_2diagram(

@@ -37,7 +37,7 @@ def _dump(doc: Any) -> bytes:
 def _load(data: bytes | str) -> Any:
     try:
         return json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
 
 

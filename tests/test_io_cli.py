@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from pastekit import globe, interval_chain, u_cell, validate_complex
+from pastekit import globe, interval_chain, paste, u_cell, validate_complex
 from pastekit import cli
 from pastekit.cli import main
 from pastekit.fixtures import fixture_files, frob, power
@@ -425,6 +425,60 @@ def test_cli_svg_rejects_parallel_wires(fixture_dir, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
     assert "wire layer is not a single path" in captured.err
+
+
+def _two_source_layer(fixture_dir, tmp_path):
+    """o1 with a second wire whose two covers are both inputs."""
+    doc = json.loads((fixture_dir / "o1.json").read_bytes())
+    doc["elements"].append({"id": "b", "dim": 1, "covers": [{"id": "0-", "sign": "-"}, {"id": "0+", "sign": "-"}]})
+    path = tmp_path / "twosrc.json"
+    path.write_text(json.dumps(doc))
+    return ["export", str(path), "--format", "svg"]
+
+
+def _side_by_side(fixture_dir, tmp_path):
+    """Two 2-cells pasted at 0: a molecule without a spherical boundary."""
+    path = tmp_path / "side.json"
+    path.write_bytes(serialize_complex(paste(u_cell(1, 1), u_cell(1, 1), 0).complex))
+    return ["compos", str(path)]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            lambda d, t: ["paste", "1", str(d / "u21.json"), str(d / "u21.json")],
+            "cannot paste U2_1 and U2_1 at 1: boundaries not isomorphic "
+            "(first mismatch in stratum 0 (2 vs 3 elements), sizes 3 vs 5)",
+        ),
+        (_side_by_side, "((O1=>O1)#0(O1=>O1)): composite cell needs a spherical boundary"),
+        (lambda d, t: ["export", str(d / "frob.json"), "--format", "svg"], "string diagrams render up to dimension 2"),
+        (_two_source_layer, "wire layer is not a single path"),
+    ],
+    ids=["paste", "compos", "svg-dimension", "svg-two-sources"],
+)
+def test_cli_semantic_failures_exit_1_with_one_line(fixture_dir, tmp_path, capsys, argv, message):
+    assert main(argv(fixture_dir, tmp_path)) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message + "\n")
+
+
+def test_cli_deeply_nested_json_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid JSON: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+def test_cli_maxd_at_a_negative_level(fixture_dir, capsys):
+    assert main(["maxd", str(fixture_dir / "u21.json"), "--", "-9"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert main(["maxd", str(fixture_dir / "u21.json"), "--", "-1"]) == 0
+    assert captured.out.replace("maxd-9", "maxd-1") == capsys.readouterr().out
 
 
 def test_cli_fixtures_lists(capsys):

@@ -5,7 +5,10 @@ from pastekit import (
     MINUS,
     PLUS,
     StructureError,
+    frame_dimension,
     globe,
+    maxd,
+    recognize,
     u_cell,
     validate_complex,
 )
@@ -169,3 +172,36 @@ def test_spherical_forces_purity():
 
     whiskered = paste(u_cell(1, 1), interval_chain(1), 0)
     assert not spherical_boundary(whiskered.complex, whiskered.members)
+
+
+def test_negative_levels_hold_no_elements():
+    o2 = globe(2)
+    for n in (-1, -2, -5):
+        for sign in (MINUS, PLUS):
+            assert o2.source_set(o2.whole(), n, sign) == frozenset()
+    u = u_cell(2, 1)
+    level = maxd(u.complex, u.members, -1)
+    assert level.low == () and level.high == ("top",)
+    for n in (-2, -3, -9):
+        g = maxd(u.complex, u.members, n)
+        assert (g.low, g.high, g.adjacency) == (level.low, level.high, level.adjacency)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda cx, m: cx.closure(m),
+        lambda cx, m: cx.maximal(m),
+        lambda cx, m: cx.boundary(m, 0, MINUS),
+        lambda cx, m: cx.is_closed(m),
+        lambda cx, m: cx.source_set(m, 0, PLUS),
+        lambda cx, m: recognize(cx, m),
+        lambda cx, m: maxd(cx, m, 0),
+        lambda cx, m: frame_dimension(cx, m),
+    ],
+    ids=["closure", "maximal", "boundary", "is_closed", "source_set", "recognize", "maxd", "frame_dimension"],
+)
+def test_unknown_ids_raise_a_key_error_naming_the_complex(call):
+    o2 = globe(2)
+    with pytest.raises(KeyError, match="O2: unknown element 'x'"):
+        call(o2, o2.whole() | {"x"})

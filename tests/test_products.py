@@ -169,6 +169,11 @@ def test_smash_collapse_all_basepoint():
     assert set(lab.labels.values()) == {BASEPOINT}
 
 
+def test_smash_collapse_needs_pair_labels():
+    with pytest.raises(ProductError, match="^collapse needs pair labels$"):
+        smash_collapse(_arrow_cell("a"))
+
+
 def test_smash_collapse_cylinder_inventory():
     mu = LabelledComplex(
         u_cell(2, 1).as_complex("U21"),

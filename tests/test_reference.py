@@ -26,9 +26,13 @@ from pastekit import (
     Molecule,
     PLUS,
     Pasting,
+    PastingError,
     UNKNOWN,
+    builtin,
+    cell_to,
     certificate_json,
     certificate_ok,
+    compos,
     enumerate_molecules,
     frame_acyclic,
     frame_dimension,
@@ -37,10 +41,14 @@ from pastekit import (
     interval_chain,
     maxd,
     recognize,
+    spherical,
     spherical_boundary,
     validate_complex,
 )
+from pastekit.molecules import whole
 from pastekit.orders import _find_cycle, _lex_topo
+from pastekit.render import _wire_sequence
+from pastekit.serialize import serialize_complex
 
 SIGNS = (MINUS, PLUS)
 
@@ -458,3 +466,117 @@ def test_spherical_boundary_matches_the_per_level_reference(enumerated):
             assert spherical_boundary(cx, m) == want, (cx.name, sorted(m))
             seen.add(want)
     assert seen == {True, False}
+
+
+def ref_wire_sequence(cx: Complex, wires: frozenset[str]) -> list[str]:
+    """The wire order of the svg exporter as a walk along the path: from the one
+    input vertex, follow each wire's single source to its target."""
+    ones = [x for x in wires if cx.dim_of(x) == 1]
+    if not ones:
+        return []
+    start = cx.boundary(wires, 0, MINUS)
+    if len(start) != 1:
+        raise ValueError("wire layer is not a single path")
+    at = next(iter(start))
+    by_source = {}
+    for w in ones:
+        src = [t for t, s in cx.covers(w) if s == MINUS]
+        if len(src) != 1:
+            raise ValueError("wire without a single source endpoint")
+        if src[0] in by_source:
+            raise ValueError("wire layer is not a single path")
+        by_source[src[0]] = w
+    out = []
+    for _ in ones:
+        w = by_source[at]
+        out.append(w)
+        at = next(t for t, s in cx.covers(w) if s == PLUS)
+    return out
+
+
+def _wires_outcome(f, cx: Complex, wires: frozenset[str]):
+    """The wire order, or "rejected"; the walk fails on a wire with no target
+    with the StopIteration of its target lookup."""
+    try:
+        return f(cx, wires)
+    except (ValueError, StopIteration):
+        return "rejected"
+
+
+def _layer(*wires: tuple[str, list[tuple[str, str]]]) -> Complex:
+    """A 1-dimensional complex over the vertices its wires cover."""
+    table = {t: (0, []) for _, cov in wires for t, _ in cov}
+    table.update((w, (1, cov)) for w, cov in wires)
+    return Complex("layer", table)
+
+
+NOT_PATHS = [
+    _layer(("a", [("v", MINUS), ("w", PLUS)]), ("b", [("v", MINUS), ("w", PLUS)])),  # parallel
+    _layer(("a", [("v", MINUS), ("w", PLUS)]), ("b", [("v", MINUS), ("w", MINUS)])),  # two sources
+    _layer(("a", [("v", MINUS), ("w", PLUS)]), ("b", [("w", PLUS)])),  # b has no source
+    _layer(("a", [("v", MINUS), ("w", PLUS)]), ("b", [("w", MINUS)])),  # b has no target
+    _layer(("a", [("v", MINUS), ("w", PLUS)]), ("b", [("x", MINUS), ("y", PLUS)])),  # disjoint
+    _layer(("a", [("v", MINUS), ("w", PLUS)]), ("b", [("w", MINUS), ("v", PLUS)])),  # a loop
+    _layer(("a", [("v", MINUS), ("w", MINUS)])),
+]
+
+
+def test_wire_sequence_matches_the_path_walk():
+    outcomes = set()
+    for cx in COMPLEXES:
+        cells = [cx.whole(), *(cx.closure([x]) for x in cx.elements() if cx.dim_of(x) >= 1)]
+        for cl in cells:
+            for s in SIGNS:
+                wires = cx.boundary(cl, 1, s)
+                got = _wires_outcome(_wire_sequence, cx, wires)
+                assert got == _wires_outcome(ref_wire_sequence, cx, wires), (cx.name, sorted(wires))
+                outcomes.add(got == "rejected")
+    assert outcomes == {True, False}
+    for cx in NOT_PATHS:
+        assert _wires_outcome(ref_wire_sequence, cx, cx.whole()) == "rejected"
+        with pytest.raises(ValueError, match="^wire layer is not a single path$"):
+            _wire_sequence(cx, cx.whole())
+
+
+def ref_compos(u: Molecule, name: str | None = None) -> Molecule:
+    """The composite cell by recognising both (n-1)-boundaries and capping them
+    with `cell_to`, which matches their (n-2)-boundaries by isomorphism."""
+    if not spherical(u):
+        raise PastingError(f"{u.complex.name}: composite cell needs a spherical boundary")
+    n = u.dim
+    if n == 0:
+        return u
+    lo = recognize(u.complex, u.boundary(n - 1, MINUS))
+    hi = recognize(u.complex, u.boundary(n - 1, PLUS))
+    if lo is None or lo is UNKNOWN or hi is None or hi is UNKNOWN:
+        raise PastingError(f"{u.complex.name}: boundary of composite not recognised as a molecule")
+    return cell_to(lo, hi, name=name)
+
+
+def _spherical_molecules() -> list[Molecule]:
+    """Random spherical molecules of dimension 1 to 3 with their boundaries,
+    every generating cell shape of MonComplex and coMonComplex, and Gray
+    products of globes up to dimension 6."""
+    rng = random.Random(0xC0)
+    out = []
+    for _ in range(40):
+        u = random_molecule(rng, max_elements=30)
+        for k in range(u.dim):
+            out += [recognize(u.complex, u.boundary(k, s)) for s in SIGNS]
+        out.append(u)
+    out = [u for u in out if 1 <= u.dim <= 3 and spherical(u)]
+    cells = [c.cell.shape for name in ("MonComplex", "coMonComplex") for c in builtin(name).cells]
+    cells += [gray_product(globe(a), globe(b)) for a, b in ((2, 2), (1, 4), (3, 3))]
+    return out + [whole(cx) for cx in cells]
+
+
+def test_compos_matches_cell_to_over_the_recognised_boundaries():
+    dims = set()
+    for u in _spherical_molecules():
+        got, want = compos(u, "c"), ref_compos(u, "c")
+        assert serialize_complex(got.complex) == serialize_complex(want.complex)
+        assert (got.members, got.certificate) == (want.members, want.certificate)
+        assert (got.left_map, got.right_map) == (want.left_map, want.right_map)
+        assert compos(u).complex.name == ref_compos(u).complex.name
+        dims.add(u.dim)
+    assert dims == {0, 1, 2, 3, 4, 5, 6}

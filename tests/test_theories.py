@@ -15,6 +15,7 @@ from pastekit import (
     perm_decompose,
     perm_recompose,
     presentation_of_smash,
+    smash_generators,
     prop_quotient,
     sigma_expr,
     sigma_star_expr,
@@ -201,6 +202,16 @@ def test_presentation_of_smash_point():
     )
     sm = presentation_of_smash(mc, point)
     assert [c.name for c in sm.cells] == [BASEPOINT]
+
+
+@pytest.mark.parametrize(
+    "left, right", [("MonComplex", "MonComplex"), ("MonComplex", "coMonComplex"), ("coMonComplex", "MonComplex")]
+)
+def test_presentation_of_smash_inventory_is_the_generator_formula(left, right):
+    x, y = builtin(left), builtin(right)
+    inventory = presentation_of_smash(x, y).inventory()
+    # inventory() lists names in cell order; the formula sorts each dimension
+    assert {d: sorted(ns) for d, ns in inventory.items()} == smash_generators(x.inventory(), y.inventory())
 
 
 def test_mon_complex_shapes_check():
