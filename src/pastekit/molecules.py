@@ -482,10 +482,9 @@ def recognize(cx: Complex, members: frozenset[str]):
     Returns a handle, ``None`` when the subset is certainly not a molecule,
     or ``UNKNOWN`` when the search is exhausted above dimension 3 (where
     failure is inconclusive).  Complete for subsets of dimension <= 3 in a
-    complex whose cells are themselves well-formed.
+    complex whose cells are themselves well-formed.  The complex remembers
+    the result for every subset searched, and later calls read it back.
     """
-    if not members:
-        return None
     ix = cx._index()
     root = ix.mask(members)
     if ix.closure(root) != root:
@@ -493,8 +492,26 @@ def recognize(cx: Complex, members: frozenset[str]):
     maximal = cx.maximal(members)
     if len(maximal) == 1:
         return Molecule(cx, members, Atom(next(iter(maximal))))
+    got = _recognized(ix, root)
+    return got if got is None or got is UNKNOWN else Molecule(cx, members, got)
+
+
+#: Marks a mask that is not in an index's recognition memo.
+_ABSENT = object()
+
+
+def _recognized(ix: _Index, root: int) -> _Found:
+    """What recognition finds for a closed mask: from the index's memo, or by
+    split searches on an explicit stack, each recorded in the memo when it
+    finishes.  Each memo entry is read once, so an entry stored meanwhile by
+    another thread is never sent into a search that has not started."""
+    if not root:
+        return None
+    memo = ix.recognized
+    got = memo.get(root, _ABSENT)
+    if got is not _ABSENT:
+        return got
     # searches under way, innermost last; each yields a half and is sent its result
-    memo: dict[int, _Found] = {}
     stack = [(root, _split_search(ix, root))]
     got = None
     while stack:
@@ -505,19 +522,18 @@ def recognize(cx: Complex, members: frozenset[str]):
             got = memo[m] = done.value
             stack.pop()
             continue
-        if half not in memo:
+        got = memo.get(half, _ABSENT)
+        if got is _ABSENT:
             stack.append((half, _split_search(ix, half)))
-        got = memo.get(half)  # None starts a new search
-    return got if got is None or got is UNKNOWN else Molecule(cx, members, got)
+            got = None  # starts the new search
+    return got
 
 
 def _split_search(ix: _Index, m: int) -> Generator[int, _Found, _Found]:
     """`recognize`'s search on a nonempty closed mask: at each level k from the
-    frame dimension up, each cut i of the `_lex_topo` order of the high cells
-    is tried twice (the cells from i on with the output k-boundary, then the
+    frame dimension up, each cut i of the frame order of the high cells is
+    tried twice (the cells from i on with the output k-boundary, then the
     cells before i with the input k-boundary, each against the rest)."""
-    from .orders import _frame_graph, _lex_topo
-
     maximal = ix.maximal(m)
     if not maximal & (maximal - 1):
         return Atom(ix.ids[maximal.bit_length() - 1])
@@ -527,10 +543,9 @@ def _split_search(ix: _Index, m: int) -> Generator[int, _Found, _Found]:
         tail = maximal & ~ix.below(k + 1)
         if not tail & (tail - 1):  # fewer than two high cells
             continue
-        order = _lex_topo(_frame_graph(ix, m, k).adjacency)
-        if order is None:
+        highs = ix.frame_order(m, maximal, k)
+        if highs is None:
             continue
-        highs = [i for i in map(ix.pos.__getitem__, order) if ix.dims[i] > k]
         bminus, bplus = ix.boundary(m, k, MINUS), ix.boundary(m, k, PLUS)
         head = 0  # the high cells before cut i; tail holds those from i on
         for i in range(1, len(highs)):

@@ -8,6 +8,7 @@ checks that qualify a poset as a directed complex.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -40,12 +41,23 @@ class _Index:
     Element ids are numbered in (dim, id) order, so the elements of each
     dimension fill one contiguous bit range and the dimension of a nonempty
     mask is the dimension of its top bit.  A subset is an ``int`` whose bit
-    ``i`` marks element ``ids[i]``.  Each element has a downset mask (its
-    closure), a cover mask, and one coface mask per sign; each cell's sides
-    in the frame graphs of each level are cached here as masks.
+    ``i`` marks element ``ids[i]``, and ``rank[i]`` is the place of ``ids[i]``
+    in sorted-id order.  Each element has a downset mask (its closure), a
+    cover mask, and one coface mask per sign; each cell's sides in the frame
+    graphs of each level are cached here as masks.
+
+    The complex is immutable, so what is found about it is a pure function
+    of this index and is kept here: ``recognized`` maps each closed mask
+    whose recognition search has finished to its certificate, ``None`` or
+    ``UNKNOWN``, and ``report`` holds `validate_complex`'s checks once made.
+    Entries are only ever added, each in one assignment, so threads sharing
+    a complex at worst repeat a search and store an equal result.
     """
 
-    __slots__ = ("name", "ids", "pos", "dims", "lower", "down", "cover", "cofaces", "sides")
+    __slots__ = (
+        "name", "ids", "pos", "rank", "dims", "lower", "down", "cover", "cofaces", "sides",
+        "recognized", "report",
+    )
 
     def __init__(self, cx: "Complex"):
         ids = tuple(x for d in range(cx.dim + 1) for x in cx.by_dim(d))
@@ -53,6 +65,9 @@ class _Index:
         self.name = cx.name
         self.ids = ids
         self.pos = pos
+        self.rank = [0] * len(ids)
+        for r, x in enumerate(cx.elements()):  # sorted by id
+            self.rank[pos[x]] = r
         self.dims = [cx.dim_of(x) for x in ids]
         # lower[d] masks the elements of dimension < d, for 0 <= d <= dim + 1
         self.lower = [0]
@@ -71,6 +86,8 @@ class _Index:
             self.cover.append(cover)
             self.down.append(down | 1 << i)
         self.sides: dict[tuple[int, int], tuple[int, int]] = {}
+        self.recognized: dict[int, object] = {}
+        self.report: tuple | None = None
 
     def mask(self, members: Iterable[str]) -> int:
         pos = self.pos
@@ -90,6 +107,16 @@ class _Index:
             out.append(ids[low.bit_length() - 1])
             m ^= low
         return frozenset(out)
+
+    @staticmethod
+    def positions(m: int) -> list[int]:
+        """The bit positions of ``m``, lowest first."""
+        out = []
+        while m:
+            low = m & -m
+            out.append(low.bit_length() - 1)
+            m ^= low
+        return out
 
     def dim(self, m: int) -> int:
         """Greatest dimension in ``m``, -1 when empty."""
@@ -198,6 +225,54 @@ class _Index:
             out.append((i, got[0] & m, got[1] & m))
         return out
 
+    def frame_order(self, m: int, maximal: int, n: int) -> list[int] | None:
+        """The cells of ``maximal`` above dimension n in the lexicographically
+        least topological order of the level-n frame graph of ``m``, or None
+        when that graph has a cycle.
+
+        Kahn's algorithm with a heap of ``(rank, bit)``: the order `_lex_topo`
+        gives over the frame graph's ids.  Only the low elements that enter
+        some cell can hold a cell back; the others are left out, as popping
+        them would not change which cells are ready.
+        """
+        sides = self.frame_sides(m, maximal, n)
+        rank, dims = self.rank, self.dims
+        entered = 0
+        for _, into, _ in sides:
+            entered |= into
+        succ: dict[int, list[int]] = {}
+        need: dict[int, int] = dict.fromkeys(self.positions(entered), 0)  # unpopped predecessors
+        for i, into, out in sides:
+            need[i] = into.bit_count()
+            for j in self.positions(into):
+                succ.setdefault(j, []).append(i)
+            succ[i] = self.positions(out & entered)
+            for j in succ[i]:
+                need[j] += 1
+        ready = [(rank[v], v) for v, count in need.items() if not count]
+        heapq.heapify(ready)
+        order = []
+        popped = 0
+        while ready:
+            v = heapq.heappop(ready)[1]
+            popped += 1
+            if dims[v] > n:
+                order.append(v)
+            for w in succ[v]:
+                need[w] -= 1
+                if not need[w]:
+                    heapq.heappush(ready, (rank[w], w))
+        return order if popped == len(need) else None
+
+    def spherical(self, m: int) -> bool:
+        """`spherical_boundary` of a mask."""
+        inner = 0
+        for minus, plus in self.boundaries(m, self.dim(m)):
+            if minus & plus != inner:
+                return False
+            inner = minus | plus
+        return True
+
 
 class Complex:
     """A finite oriented graded poset.
@@ -218,8 +293,9 @@ class Complex:
     sets, maximal elements and closedness are mask arithmetic on that index,
     behind signatures that take and return ``frozenset`` ids.  The index
     also caches each cell's input and output boundaries off its rim, which
-    frame graphs are built from; that only saves recomputation, and there is
-    no other per-element cache.
+    frame graphs are built from, the result of each finished recognition
+    search, and `validate_complex`'s checks; that only saves recomputation,
+    and there is no other cache.
     """
 
     __slots__ = (
@@ -454,13 +530,7 @@ class ValidationReport:
 def spherical_boundary(cx: Complex, members: frozenset[str]) -> bool:
     """Whether the two k-boundaries only meet in the (k-1)-boundary, all k."""
     ix = cx._index()
-    m = ix.mask(members)
-    inner = 0
-    for minus, plus in ix.boundaries(m, ix.dim(m)):
-        if minus & plus != inner:
-            return False
-        inner = minus | plus
-    return True
+    return ix.spherical(ix.mask(members))
 
 
 def globular(cx: Complex, x: str) -> bool:
@@ -481,21 +551,32 @@ def validate_complex(cx: Complex) -> ValidationReport:
 
     Molecule recognition is complete up to 3-dimensional boundaries; higher
     boundaries report UNKNOWN rather than FAIL.  Overall PASS iff nothing
-    reports FAIL or a broken invariant.
+    reports FAIL or a broken invariant.  The checks are made once per
+    complex and kept on its index; each call reports them under the
+    complex's current name.
     """
+    ix = cx._index()
+    got = ix.report
+    if got is None:
+        got = ix.report = _checks(cx, ix)
+    checks, passed, unknowns = got
+    return ValidationReport(cx.name, checks, passed, unknowns)
+
+
+def _checks(cx: Complex, ix: _Index) -> tuple[tuple[ElementReport, ...], bool, int]:
+    """`validate_complex`'s element checks, verdict and count of UNKNOWNs."""
     from . import molecules  # recogniser lives one level up
 
-    ix = cx._index()
     checks = []
     unknowns = 0
     for x in cx.elements():
-        n = cx.dim_of(x)
+        i = ix.pos[x]
+        n = ix.dims[i]
         if n < 1:
             continue
-        sph = spherical_boundary(cx, ix.members(ix.down[ix.pos[x]]))
         statuses = {}
         for a in SIGNS:
-            res = molecules.recognize(cx, ix.members(ix.atom_boundary(ix.pos[x], n - 1, a)))
+            res = molecules._recognized(ix, ix.atom_boundary(i, n - 1, a))
             if res is molecules.UNKNOWN:
                 statuses[a] = UNKNOWN
                 unknowns += 1
@@ -505,7 +586,6 @@ def validate_complex(cx: Complex) -> ValidationReport:
                 statuses[a] = PASS
         glob = globular(cx, x) if n >= 2 else None
         checks.append(
-            ElementReport(x, n, sph, statuses[MINUS], statuses[PLUS], glob)
+            ElementReport(x, n, ix.spherical(ix.down[i]), statuses[MINUS], statuses[PLUS], glob)
         )
-    passed = all(c.ok for c in checks)
-    return ValidationReport(cx.name, tuple(checks), passed, unknowns)
+    return tuple(checks), all(c.ok for c in checks), unknowns

@@ -213,12 +213,12 @@ def k_order(u: mol.Molecule, k: int) -> KOrder | None:
     """
     if k >= u.dim:
         raise ValueError("k must be below the molecule dimension")
-    g = maxd(u.complex, u.members, k)
-    order = _lex_topo(g.adjacency)
+    ix = u.complex._index()
+    m = ix.mask(u.members)
+    order = ix.frame_order(m, ix.maximal(m), k)
     if order is None:
         return None
-    high = frozenset(g.high)
-    return KOrder(k, tuple(x for x in order if x in high))
+    return KOrder(k, tuple(ix.ids[i] for i in order))
 
 
 def is_k_order(u: mol.Molecule, k: int, sequence: Sequence[str]) -> bool:

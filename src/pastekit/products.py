@@ -3,7 +3,8 @@
 The Gray product is the cartesian product of the underlying posets with a
 parity twist on second-factor orientations.  The product of regular
 complexes is regular, so the factors are validated and the larger,
-higher-dimensional product is not.  Labels ride along as pairs; collapsing
+higher-dimensional product is not; each factor is validated once per
+complex, however many products it enters.  Labels ride along as pairs; collapsing
 the pairs that touch a basepoint gives the smash product at the
 presentation level.
 """
@@ -31,8 +32,9 @@ def gray_product(p: Complex, q: Complex, sep: str = "⊗", name: str | None = No
     A cover in the first coordinate keeps its sign; a cover in the second
     flips its sign exactly when the first coordinate has odd dimension.  The
     Gray product of regular complexes is regular, so each factor is validated
-    and the product is not; an invalid factor raises `ProductError` naming it
-    and its failing elements.
+    (once per complex: `validate_complex` keeps its checks) and the product is
+    not; an invalid factor raises `ProductError` naming it and its failing
+    elements.
     """
     if any(sep in x for x in p.elements()) or any(sep in y for y in q.elements()):
         raise ProductError(f"separator {sep!r} collides with an element id; pick another")

@@ -4,8 +4,12 @@ Each reference recomputes from the covers on every call, the way the
 library did before it kept per-element facts: a cover-walking closure, a
 coface test for maximal elements, a boundary built per level and sign, the
 pairwise frame dimension, the level-n frame graph from per-call atom
-boundaries, and an enumeration that recomputes every boundary of a member
-set when it is added and again when it is popped.
+boundaries, `_lex_topo` over that graph's ids for the order of its high
+cells, and an enumeration that recomputes every boundary of a member set
+when it is added and again when it is popped.  Recognition and validation
+are remembered by each complex, so they are also checked on a complex
+whose memo is already full, on complexes derived from it, and on one
+complex shared by several threads.
 
 The complexes are random molecules, their duals, and copies with one cover
 sign flipped.  The flipped copies are usually not regular, which is where a
@@ -15,6 +19,8 @@ boundaries of a pasting from those of its halves) would show.
 from __future__ import annotations
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -39,6 +45,7 @@ from pastekit import (
     globe,
     gray_product,
     interval_chain,
+    k_order,
     maxd,
     recognize,
     spherical,
@@ -46,7 +53,8 @@ from pastekit import (
     validate_complex,
 )
 from pastekit.molecules import whole
-from pastekit.orders import _find_cycle, _lex_topo
+from pastekit.ogp import ElementReport, ValidationReport
+from pastekit.orders import _find_cycle, _frame_graph, _lex_topo
 from pastekit.render import _wire_sequence
 from pastekit.serialize import serialize_complex
 
@@ -238,6 +246,30 @@ def test_frame_dimension_and_frame_graphs_match_the_pairwise_reference(enumerate
                 assert maxd(cx, u.members, n).adjacency == ref_maxd_adjacency(cx, u.members, n)
 
 
+def ref_high_order(cx: Complex, members: frozenset[str], k: int) -> list[str] | None:
+    """The high cells of the level-k frame graph in `_lex_topo` order over its ids."""
+    ix = cx._index()
+    g = _frame_graph(ix, ix.mask(members), k)
+    order = _lex_topo(g.adjacency)
+    return None if order is None else [x for x in order if x in g.high]
+
+
+def test_frame_order_and_k_order_match_lex_topo_over_the_frame_graph(enumerated):
+    outcomes = set()
+    for cx, found, _ in enumerated:
+        ix = cx._index()
+        for u in found:
+            m = ix.mask(u.members)
+            for k in range(max(frame_dimension(cx, u.members), 0), u.dim):
+                want = ref_high_order(cx, u.members, k)
+                got = ix.frame_order(m, ix.maximal(m), k)
+                assert (None if got is None else [ix.ids[i] for i in got]) == want
+                order = k_order(u, k)
+                assert (None if order is None else list(order.sequence)) == want
+                outcomes.add(want is None)
+    assert outcomes == {True, False}
+
+
 def _digest(found: list[Molecule]) -> list[tuple[frozenset[str], dict]]:
     return [(u.members, certificate_json(u)) for u in found]
 
@@ -265,13 +297,23 @@ def test_flipped_copies_are_not_all_regular():
 
 
 def test_derived_complexes_do_not_share_caches():
-    cx = COMPLEXES[0]
+    # a regular complex, and a flipped copy that fails validation
+    for cx in (COMPLEXES[0], COMPLEXES[5]):
+        _check_derived_complexes(cx)
+
+
+def _check_derived_complexes(cx: Complex) -> None:
     top = max(cx.elements(), key=cx.dim_of)
     for x in cx.elements():
         index_atom_boundary(cx, x, cx.dim_of(x) - 1, MINUS)
     index_boundaries(cx, cx.whole(), cx.dim)
     for n in range(cx.dim):  # fills the index's cache of frame-graph sides
         maxd(cx, cx.whole(), n)
+    # fills the index's recognition memo and validation report
+    sets = _closed_sets(cx, ref_enumerate(cx)[0])
+    for m in sets:
+        recognize(cx, m)
+    passed = validate_complex(cx).passed
     derived = [
         cx.dual(),
         cx.dual(dims=[1]),
@@ -280,6 +322,7 @@ def test_derived_complexes_do_not_share_caches():
         cx.restrict(cx.closure([top])),
         cx.restrict(cx.whole()),
     ]
+    verdicts = set()
     for d in derived:
         assert d._index() is not cx._index()
         # results on the derived complex come from its own covers
@@ -290,6 +333,18 @@ def test_derived_complexes_do_not_share_caches():
                 assert index_atom_boundary(d, x, k, s) == ref_boundary(d, ref_closure(d, [x]), k, s)
         for n in range(d.dim):
             assert maxd(d, d.whole(), n).adjacency == ref_maxd_adjacency(d, d.whole(), n)
+        renamed = {x: "renamed" if x == top and "renamed" in d else x for x in cx.elements()}
+        for m in sets:
+            m = frozenset(renamed[x] for x in m)
+            if m <= d.whole():
+                assert _found(recognize(d, m)) == _found(ref_recognize(d, m)), (d.name, sorted(m))
+        report = validate_complex(d)
+        assert report == ref_validate(d)
+        assert validate_complex(d) == report  # a second call reports the same
+        verdicts.add(report.passed)
+    # duals, relabellings and restrictions of a regular complex are regular;
+    # a flipped copy's restriction to its top atom passes where the copy fails
+    assert verdicts == ({True} if passed else {True, False})
 
 
 def ref_frame_acyclic(cx: Complex, molecules: list[Molecule], truncated: bool) -> tuple:
@@ -449,16 +504,117 @@ def test_recognize_matches_the_recursive_reference(enumerated):
     assert outcomes == {"found", "None", "UNKNOWN"}
 
 
-def test_spherical_boundary_matches_the_per_level_reference(enumerated):
-    def ref_spherical(cx: Complex, m: frozenset[str]) -> bool:
-        inner: frozenset[str] = frozenset()
-        for k in range(cx.dim_of_subset(m)):
-            minus, plus = ref_boundary(cx, m, k, MINUS), ref_boundary(cx, m, k, PLUS)
-            if minus & plus != inner:
-                return False
-            inner = minus | plus
-        return True
+def test_a_filled_memo_gives_the_results_of_a_fresh_index(enumerated):
+    outcomes = set()
+    for cx, found, _ in [*enumerated, (_disjoint_globes(4), *ref_enumerate(_disjoint_globes(4)))]:
+        recognize(cx, cx.whole())
+        for x in cx.elements():
+            cl = cx.closure([x])
+            for k in range(cx.dim_of(x)):
+                for s in SIGNS:
+                    recognize(cx, cx.boundary(cl, k, s))
+        for m in _closed_sets(cx, found):
+            got = _found(recognize(cx, m))
+            assert got == _found(recognize(cx.relabel({}), m)), (cx.name, sorted(m))
+            outcomes.add(got if got is None or got is UNKNOWN else "found")
+    assert outcomes == {"found", None, UNKNOWN}
 
+
+def _recognize_and_validate(cx: Complex, sets: list[frozenset[str]]) -> tuple:
+    return [_found(recognize(cx, m)) for m in sets], validate_complex(cx)
+
+
+def test_threads_sharing_a_complex_get_the_single_threaded_results():
+    shared = gray_product(globe(2), globe(2))
+    sets = sorted(_closed_sets(shared, ref_enumerate(shared)[0]), key=sorted)
+    want = _recognize_and_validate(shared.relabel({}), sets)
+    results: list[tuple] = []
+
+    def work() -> None:
+        results.append(_recognize_and_validate(shared, sets))
+
+    threads = [threading.Thread(target=work) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, mid-search
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [want] * 4
+
+
+class _FilledMeanwhile(dict):
+    """A recognition memo that another thread fills with the true result
+    just after each lookup of a mask misses."""
+
+    def __init__(self, truth: dict):
+        super().__init__()
+        self.truth = truth
+
+    def _missed(self, m: int) -> None:
+        if m in self.truth:
+            self[m] = self.truth[m]
+
+    def __contains__(self, m) -> bool:
+        found = super().__contains__(m)
+        if not found:
+            self._missed(m)
+        return found
+
+    def get(self, m, default=None):
+        if not super().__contains__(m):
+            self._missed(m)
+            return default
+        return super().get(m)
+
+
+def test_a_memo_entry_stored_between_lookups_is_not_sent_into_a_new_search():
+    cx = gray_product(globe(2), globe(2))
+    sets = sorted(_closed_sets(cx, ref_enumerate(cx)[0]), key=sorted)
+    fresh = cx.relabel({})  # the same ids, so the same masks
+    want, _ = _recognize_and_validate(fresh, sets)
+    cx._index().recognized = _FilledMeanwhile(fresh._index().recognized)
+    assert [_found(recognize(cx, m)) for m in sets] == want
+
+
+def ref_spherical(cx: Complex, m: frozenset[str]) -> bool:
+    inner: frozenset[str] = frozenset()
+    for k in range(cx.dim_of_subset(m)):
+        minus, plus = ref_boundary(cx, m, k, MINUS), ref_boundary(cx, m, k, PLUS)
+        if minus & plus != inner:
+            return False
+        inner = minus | plus
+    return True
+
+
+def ref_validate(cx: Complex) -> ValidationReport:
+    """`validate_complex` from the reference boundaries and recognition."""
+    checks = []
+    unknowns = 0
+    for x in cx.elements():
+        n = cx.dim_of(x)
+        if n < 1:
+            continue
+        cl = ref_closure(cx, [x])
+        found = {s: ref_recognize(cx, ref_boundary(cx, cl, n - 1, s)) for s in SIGNS}
+        unknowns += sum(r is UNKNOWN for r in found.values())
+        status = {s: "UNKNOWN" if r is UNKNOWN else "FAIL" if r is None else "PASS" for s, r in found.items()}
+        glob = None
+        if n >= 2:
+            glob = all(
+                ref_boundary(cx, ref_boundary(cx, cl, n - 1, b), n - 2, a) == ref_boundary(cx, cl, n - 2, a)
+                for a in SIGNS
+                for b in SIGNS
+            )
+        checks.append(ElementReport(x, n, ref_spherical(cx, cl), status[MINUS], status[PLUS], glob))
+    return ValidationReport(cx.name, tuple(checks), all(c.ok for c in checks), unknowns)
+
+
+def test_spherical_boundary_matches_the_per_level_reference(enumerated):
     seen = set()
     for cx, found, _ in enumerated:
         for m in _closed_sets(cx, found) | {frozenset()}:
