@@ -12,7 +12,9 @@ search per subset on an explicit stack, so its depth does not grow.
 
 `paste`, `cell_to`, `compos` and `substitute` share one gluing step: keep
 a subset of each side, identify right elements with left ones, and rename
-the rest ``left/x`` and ``right/y``.
+the rest ``left/x`` and ``right/y``.  `_paste_all` pastes a whole sequence
+at one level in a single element table, giving every element the id that
+folding `paste` over the sequence would; `interval_chain` is built so.
 """
 from __future__ import annotations
 
@@ -138,17 +140,21 @@ def globe_molecule(n: int) -> Molecule:
 
 
 def interval_chain(n: int) -> Molecule:
-    """The 1-molecule with n arrows pasted end to end."""
+    """The 1-molecule with n arrows pasted end to end.
+
+    Equal in every field to ``paste(...paste(O1, O1, 0)..., O1, 0)``, built
+    by `_paste_all` as one element table: one `Complex` for the chain, and
+    each arrow matched with the one before on a single 0-boundary point.
+    """
     if n < 1:
         raise ValueError("interval chains need at least one arrow")
-    u = globe_molecule(1)
-    for _ in range(n - 1):
-        u = paste(u, globe_molecule(1), 0)
-    return u
+    return _paste_all([globe_molecule(1)] * n, 0)
 
 
 def u_cell(n: int, m: int) -> Molecule:
     """The 2-atom with n input wires and m output wires."""
+    if n < 1 or m < 1:
+        raise ValueError(f"u-cells need at least one input and one output wire, not ({n}, {m})")
     return cell_to(interval_chain(n), interval_chain(m))
 
 
@@ -256,12 +262,18 @@ def _glue(
     """
     left_map = {x: f"left/{x}" for x in lkeep}
     right_map = {y: f"left/{ident[y]}" if y in ident else f"right/{y}" for y in rkeep}
-    table = {}
-    for cx, keep, rename, skip in ((lcx, lkeep, left_map, {}), (rcx, rkeep, right_map, ident)):
-        for x in keep:
-            if x not in skip:
-                table[rename[x]] = (cx.dim_of(x), [(rename[t], s) for t, s in cx.covers(x) if t in keep])
+    table: dict = {}
+    _copy_into(table, lcx, lkeep, left_map, {})
+    _copy_into(table, rcx, rkeep, right_map, ident)
     return table, left_map, right_map
+
+
+def _copy_into(table: dict, cx: Complex, keep: frozenset[str], rename: Mapping[str, str], skip: Mapping) -> None:
+    """Add each element of ``keep`` not in ``skip`` to ``table`` under its new
+    id, with its covers, in order, that lie inside ``keep``."""
+    for x in keep:
+        if x not in skip:
+            table[rename[x]] = (cx.dim_of(x), [(rename[t], s) for t, s in cx.covers(x) if t in keep])
 
 
 def _mismatch(acx: Complex, a: frozenset[str], bcx: Complex, b: frozenset[str]) -> str:
@@ -322,6 +334,50 @@ def paste(u1: Molecule, u2: Molecule, k: int, name: str | None = None) -> Molecu
     cx = Complex(name or f"({u1.complex.name}#{k}{u2.complex.name})", table)
     cert = Pasting(k, _rename(u1.certificate, left_map), _rename(u2.certificate, right_map))
     return Molecule(cx, cx.whole(), cert, left_map, right_map)
+
+
+def _paste_all(us: list[Molecule], k: int) -> Molecule:
+    """The left fold ``paste(...paste(us[0], us[1], k)..., us[-1], k)``, equal
+    to it in every field, built as one element table and one `Complex`.
+
+    The factors must be molecules.  Since the output k-boundary of ``U #k V``
+    is that of ``V``, each factor is matched only with the factor before it,
+    on their own boundaries.  An element first seen in factor i takes the id
+    the fold gives it, ``left/`` once per later factor and then ``right/``
+    unless i is 0; an identified element takes the id of its match.
+    """
+    if len(us) == 1:
+        return us[0]
+    if k < 0:
+        raise PastingError("pasting dimension must be >= 0")
+    last = len(us) - 1
+    table: dict[str, tuple[int, list[tuple[str, str]]]] = {}
+    maps: list[dict[str, str]] = []
+    name = us[0].complex.name
+    cert: Atom | Pasting | None = None
+    for i, u in enumerate(us):
+        ident: dict[str, str] = {}
+        if i:
+            prev = us[i - 1]
+            b1, b2 = prev.boundary(k, PLUS), u.boundary(k, MINUS)
+            iso = unique_iso((prev.complex, b1), (u.complex, b2))
+            if iso is None:
+                raise PastingError(
+                    f"cannot paste {name} and {u.complex.name} at {k}: "
+                    f"boundaries not isomorphic ({_mismatch(prev.complex, b1, u.complex, b2)})"
+                )
+            ident = {y: maps[-1][x] for x, y in iso.items()}
+            name = f"({name}#{k}{u.complex.name})"
+        prefix = "left/" * (last - i) + ("right/" if i else "")
+        rename = {x: ident[x] if x in ident else prefix + x for x in u.members}
+        _copy_into(table, u.complex, u.members, rename, ident)
+        maps.append(rename)
+        renamed = _rename(u.certificate, rename)
+        cert = renamed if cert is None else Pasting(k, cert, renamed)
+    cx = Complex(name, table)
+    # the fold's last step pasted the first ``last`` factors, whose ids then lacked one ``left/``
+    left_map = {y[len("left/"):]: y for m in maps[:-1] for y in m.values()}
+    return Molecule(cx, cx.whole(), cert, left_map, maps[-1])
 
 
 def _fold(cert: Atom | Pasting, atom: Callable[[Atom], T], paste: Callable[[Pasting, T, T], T]) -> T:

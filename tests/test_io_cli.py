@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -359,6 +363,28 @@ def test_cli_atom_and_compos(fixture_dir, capsys, tmp_path):
     f.write_text(blob)
     assert main(["compos", str(f)]) == 0
     assert len(json.loads(capsys.readouterr().out)["elements"]) == 9
+
+
+@pytest.mark.parametrize("n, m", [(0, 2), (2, 0)])
+def test_u_cell_names_its_own_arities(n, m, capsys):
+    message = f"u-cells need at least one input and one output wire, not ({n}, {m})"
+    with pytest.raises(ValueError) as exc:
+        u_cell(n, m)
+    assert str(exc.value) == message
+    assert main(["atom", "ucell", str(n), str(m)]) == 1
+    assert capsys.readouterr().err == message + "\n"
+
+
+def test_python_dash_m_runs_the_cli(capsysbinary):
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run(
+        [sys.executable, "-m", "pastekit", "atom", "ucell", "2", "1"],
+        capture_output=True, env=env, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert main(["atom", "ucell", "2", "1"]) == 0
+    assert run.stdout == capsysbinary.readouterr().out
 
 
 def test_cli_interpret(fixture_dir, capsys):

@@ -29,6 +29,7 @@ from pastekit import (
     unique_iso,
     validate_complex,
 )
+from pastekit import molecules
 from pastekit.molecules import _mismatch
 
 from conftest import random_molecule
@@ -51,6 +52,30 @@ def test_interval_chain_examples():
     last = i3.boundary(0, PLUS)
     assert len(last) == 1
     assert i3.complex.dim_of(next(iter(last))) == 0
+
+
+def test_interval_chain_builds_one_complex_for_the_chain(monkeypatch):
+    built, matched = [], []
+    init, iso = Complex.__init__, molecules.unique_iso
+
+    def counting_init(self, name, elements):
+        built.append(name)
+        init(self, name, elements)
+
+    def counting_iso(u, v):
+        matched.append((len(u[1]), len(v[1])))
+        return iso(u, v)
+
+    monkeypatch.setattr(Complex, "__init__", counting_init)
+    monkeypatch.setattr(molecules, "unique_iso", counting_iso)
+    for n in (2, 3, 40):
+        built.clear()
+        matched.clear()
+        u = interval_chain(n)
+        # the arrow that is repeated, then the chain
+        assert built == ["O1", u.complex.name]
+        # each arrow's source matched with the target of the arrow before
+        assert matched == [(1, 1)] * (n - 1)
 
 
 def test_paste_examples():

@@ -9,7 +9,9 @@ cells, and an enumeration that recomputes every boundary of a member set
 when it is added and again when it is popped.  Recognition and validation
 are remembered by each complex, so they are also checked on a complex
 whose memo is already full, on complexes derived from it, and on one
-complex shared by several threads.
+complex shared by several threads.  A sequence pasted in one table is
+checked against the left fold of `paste`, and the frame-loop test of
+frame acyclicity against `_Index.frame_order`.
 
 The complexes are random molecules, their duals, and copies with one cover
 sign flipped.  The flipped copies are usually not regular, which is where a
@@ -44,17 +46,20 @@ from pastekit import (
     frame_dimension,
     globe,
     gray_product,
+    globe_molecule,
     interval_chain,
     k_order,
     maxd,
+    paste,
     recognize,
     spherical,
     spherical_boundary,
+    u_cell,
     validate_complex,
 )
-from pastekit.molecules import whole
+from pastekit.molecules import _paste_all, whole
 from pastekit.ogp import ElementReport, ValidationReport
-from pastekit.orders import _find_cycle, _frame_graph, _lex_topo
+from pastekit.orders import _find_cycle, _frame_graph, _frame_loops, _lex_topo
 from pastekit.render import _wire_sequence
 from pastekit.serialize import serialize_complex
 
@@ -736,3 +741,78 @@ def test_compos_matches_cell_to_over_the_recognised_boundaries():
         assert compos(u).complex.name == ref_compos(u).complex.name
         dims.add(u.dim)
     assert dims == {0, 1, 2, 3, 4, 5, 6}
+
+
+def test_frame_loops_agrees_with_frame_order(enumerated):
+    outcomes = set()
+    for cx, found, _ in enumerated:
+        ix = cx._index()
+        for u in found:
+            m = ix.mask(u.members)
+            maximal = ix.maximal(m)
+            if not maximal & (maximal - 1):
+                continue
+            loops = ix.frame_order(m, maximal, max(ix.frame_dimension(maximal), 0)) is None
+            assert _frame_loops(ix, m) == loops
+            outcomes.add(loops)
+    assert outcomes == {True, False}
+
+
+def ref_paste_fold(us: list[Molecule], k: int) -> Molecule:
+    """``paste(...paste(us[0], us[1], k)..., us[-1], k)``: one new complex per factor."""
+    u = us[0]
+    for v in us[1:]:
+        u = paste(u, v, k)
+    return u
+
+
+def _assert_same_pasting(got: Molecule, want: Molecule) -> None:
+    assert serialize_complex(got.complex) == serialize_complex(want.complex)
+    assert got.complex.name == want.complex.name
+    assert [got.complex.covers(x) for x in got.complex] == [want.complex.covers(x) for x in want.complex]
+    assert got.members == want.members
+    assert got.certificate == want.certificate
+    assert certificate_json(got) == certificate_json(want)
+    assert (got.left_map, got.right_map) == (want.left_map, want.right_map)
+
+
+def _factor_rows(rng: random.Random) -> list[list[Molecule]]:
+    """Rows to paste at k=0: u-cells, random molecules, and molecules that are
+    a proper subset of their complex (the input boundary of a 2-molecule)."""
+    rows = []
+    for _ in range(30):
+        rows.append([u_cell(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(rng.randint(2, 5))])
+        row = []
+        for _ in range(rng.randint(2, 4)):
+            u = random_molecule(rng, max_elements=20)
+            if u.dim >= 2 and rng.random() < 0.5:
+                u = recognize(u.complex, u.boundary(1, MINUS))
+            row.append(u)
+        rows.append(row)
+    return rows
+
+
+def test_paste_all_matches_the_fold():
+    for n in [*range(1, 60), 100, 200]:
+        _assert_same_pasting(interval_chain(n), ref_paste_fold([globe_molecule(1) for _ in range(n)], 0))
+    rng = random.Random(13)
+    for _ in range(60):
+        wires = [rng.randint(1, 3) for _ in range(rng.randint(2, 7))]
+        stack = [u_cell(a, b) for a, b in zip(wires, wires[1:])]
+        _assert_same_pasting(_paste_all(stack, 1), ref_paste_fold(stack, 1))
+    for row in _factor_rows(rng):
+        _assert_same_pasting(_paste_all(row, 0), ref_paste_fold(row, 0))
+
+
+@pytest.mark.parametrize("factors, k", [
+    ([(2, 1), (3, 1)], 1),
+    ([(1, 2), (2, 2), (2, 1), (3, 1)], 1),
+    ([(1, 1), (1, 1)], -1),
+])
+def test_paste_all_fails_where_the_fold_fails(factors, k):
+    us = [u_cell(a, b) for a, b in factors]
+    with pytest.raises(PastingError) as want:
+        ref_paste_fold(us, k)
+    with pytest.raises(PastingError) as got:
+        _paste_all(us, k)
+    assert str(got.value) == str(want.value)
