@@ -75,15 +75,6 @@ def cmd_boundary(args) -> int:
     return 0
 
 
-def _whole_molecule(cx: Complex) -> mol.Molecule:
-    got = mol.recognize(cx, cx.whole())
-    if got is None:
-        raise SystemExitWith(SEMANTIC_ERROR, f"{cx.name}: not a molecule")
-    if got is mol.UNKNOWN:
-        raise SystemExitWith(SEMANTIC_ERROR, f"{cx.name}: molecule status unknown")
-    return got
-
-
 class SystemExitWith(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
@@ -93,7 +84,7 @@ class SystemExitWith(Exception):
 def cmd_paste(args) -> int:
     a, _ = _load_complex(args.left)
     b, _ = _load_complex(args.right)
-    _emit(serialize_complex(mol.paste(_whole_molecule(a), _whole_molecule(b), args.k).complex))
+    _emit(serialize_complex(mol.paste(mol.whole(a), mol.whole(b), args.k).complex))
     return 0
 
 
@@ -115,7 +106,7 @@ def cmd_atom(args) -> int:
 
 def cmd_compos(args) -> int:
     cx, _ = _load_complex(args.file)
-    _emit(serialize_complex(mol.compos(_whole_molecule(cx)).complex))
+    _emit(serialize_complex(mol.compos(mol.whole(cx)).complex))
     return 0
 
 
@@ -147,7 +138,7 @@ def cmd_tensor(args) -> int:
 
 def cmd_interpret(args) -> int:
     cx, extra = _load_complex(args.file)
-    u = _whole_molecule(cx)
+    u = mol.whole(cx)
     order = None
     if args.order:
         order = KOrder(2, tuple(args.order.split(",")))

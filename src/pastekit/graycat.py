@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .ogp import Complex, MINUS, PLUS
+from .ogp import Complex, MINUS, PLUS, _lex_topo
 from . import molecules as mol
-from .orders import KOrder, _lex_topo, is_k_order, k_order, maxd, normal_order_of_subset
+from .orders import KOrder, is_k_order, k_order, maxd, normal_order_of_subset
 
 
 class ExpressionError(ValueError):

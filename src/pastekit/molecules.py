@@ -10,11 +10,13 @@ atom's top, the union of a pasting's halves).  Constructors (`globe`,
 search (complete up to dimension 3) on the complex's bitmask index, one
 search per subset on an explicit stack, so its depth does not grow.
 
-`paste`, `cell_to`, `compos` and `substitute` share one gluing step: keep
+Pasting has one path: `_paste_all` pastes a whole sequence at one level
+in a single element table, giving every element the id that folding
+`paste` over the sequence would, and `paste` is its two-factor case
+(``left/x``, ``right/y``, matched boundary elements keep their left id).
+`cell_to`, `compos` and `substitute` share one gluing step, `_glue`: keep
 a subset of each side, identify right elements with left ones, and rename
-the rest ``left/x`` and ``right/y``.  `_paste_all` pastes a whole sequence
-at one level in a single element table, giving every element the id that
-folding `paste` over the sequence would; `interval_chain` is built so.
+the rest ``left/x`` and ``right/y``.
 """
 from __future__ import annotations
 
@@ -123,10 +125,16 @@ def globe(n: int) -> Complex:
 
 
 def whole(cx: Complex) -> Molecule:
-    """Handle for the full complex, recognising the certificate on the fly."""
+    """Handle for the full complex, recognising the certificate on the fly.
+
+    Raises ``ValueError`` when the complex is not a molecule, or when
+    recognition cannot tell above dimension 3.
+    """
     res = recognize(cx, cx.whole())
-    if res is None or res is UNKNOWN:
-        raise ValueError(f"{cx.name} is not (recognisably) a molecule")
+    if res is None:
+        raise ValueError(f"{cx.name}: not a molecule")
+    if res is UNKNOWN:
+        raise ValueError(f"{cx.name}: molecule status unknown")
     return res
 
 
@@ -318,25 +326,10 @@ def paste(u1: Molecule, u2: Molecule, k: int, name: str | None = None) -> Molecu
     Ids are namespaced ``left/`` and ``right/``; matched boundary elements
     keep their left id.  Origin maps record where every element went.
     """
-    if k < 0:
-        raise PastingError("pasting dimension must be >= 0")
-    b1 = u1.boundary(k, PLUS)
-    b2 = u2.boundary(k, MINUS)
-    iso = unique_iso((u1.complex, b1), (u2.complex, b2))
-    if iso is None:
-        raise PastingError(
-            f"cannot paste {u1.complex.name} and {u2.complex.name} at {k}: "
-            f"boundaries not isomorphic ({_mismatch(u1.complex, b1, u2.complex, b2)})"
-        )
-    table, left_map, right_map = _glue(
-        u1.complex, u1.members, u2.complex, u2.members, {y: x for x, y in iso.items()}
-    )
-    cx = Complex(name or f"({u1.complex.name}#{k}{u2.complex.name})", table)
-    cert = Pasting(k, _rename(u1.certificate, left_map), _rename(u2.certificate, right_map))
-    return Molecule(cx, cx.whole(), cert, left_map, right_map)
+    return _paste_all([u1, u2], k, name)
 
 
-def _paste_all(us: list[Molecule], k: int) -> Molecule:
+def _paste_all(us: list[Molecule], k: int, name: str | None = None) -> Molecule:
     """The left fold ``paste(...paste(us[0], us[1], k)..., us[-1], k)``, equal
     to it in every field, built as one element table and one `Complex`.
 
@@ -344,7 +337,8 @@ def _paste_all(us: list[Molecule], k: int) -> Molecule:
     is that of ``V``, each factor is matched only with the factor before it,
     on their own boundaries.  An element first seen in factor i takes the id
     the fold gives it, ``left/`` once per later factor and then ``right/``
-    unless i is 0; an identified element takes the id of its match.
+    unless i is 0; an identified element takes the id of its match.  The
+    complex is called ``name``, by default the fold's nested ``(…#k…)``.
     """
     if len(us) == 1:
         return us[0]
@@ -353,7 +347,7 @@ def _paste_all(us: list[Molecule], k: int) -> Molecule:
     last = len(us) - 1
     table: dict[str, tuple[int, list[tuple[str, str]]]] = {}
     maps: list[dict[str, str]] = []
-    name = us[0].complex.name
+    nested = us[0].complex.name
     cert: Atom | Pasting | None = None
     for i, u in enumerate(us):
         ident: dict[str, str] = {}
@@ -363,18 +357,18 @@ def _paste_all(us: list[Molecule], k: int) -> Molecule:
             iso = unique_iso((prev.complex, b1), (u.complex, b2))
             if iso is None:
                 raise PastingError(
-                    f"cannot paste {name} and {u.complex.name} at {k}: "
+                    f"cannot paste {nested} and {u.complex.name} at {k}: "
                     f"boundaries not isomorphic ({_mismatch(prev.complex, b1, u.complex, b2)})"
                 )
             ident = {y: maps[-1][x] for x, y in iso.items()}
-            name = f"({name}#{k}{u.complex.name})"
+            nested = f"({nested}#{k}{u.complex.name})"
         prefix = "left/" * (last - i) + ("right/" if i else "")
         rename = {x: ident[x] if x in ident else prefix + x for x in u.members}
         _copy_into(table, u.complex, u.members, rename, ident)
         maps.append(rename)
         renamed = _rename(u.certificate, rename)
         cert = renamed if cert is None else Pasting(k, cert, renamed)
-    cx = Complex(name, table)
+    cx = Complex(name or nested, table)
     # the fold's last step pasted the first ``last`` factors, whose ids then lacked one ``left/``
     left_map = {y[len("left/"):]: y for m in maps[:-1] for y in m.values()}
     return Molecule(cx, cx.whole(), cert, left_map, maps[-1])

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, TypeVar
 
 MINUS = "-"
 PLUS = "+"
 SIGNS = (MINUS, PLUS)
+
+V = TypeVar("V")
 
 
 def flip(sign: str) -> str:
@@ -33,6 +35,31 @@ class StructureError(ValueError):
     even be loaded, while a structurally sound one may merely fail
     `validate_complex`.
     """
+
+
+def _lex_topo(adj: Mapping[V, Iterable[V]]) -> list[V] | None:
+    """The lexicographically least topological order of a digraph, or None
+    when it has a cycle.
+
+    Kahn's algorithm with a heap: each step takes the least vertex with no
+    predecessor left.  ``adj`` maps every vertex to its successors; vertices
+    are ordered by ``<`` (ids as strings, `_Index.frame_order` by rank).
+    """
+    need = dict.fromkeys(adj, 0)  # predecessors not yet taken
+    for ws in adj.values():
+        for w in ws:
+            need[w] += 1
+    ready = [v for v, count in need.items() if not count]
+    heapq.heapify(ready)
+    out = []
+    while ready:
+        v = heapq.heappop(ready)
+        out.append(v)
+        for w in adj[v]:
+            need[w] -= 1
+            if not need[w]:
+                heapq.heappush(ready, w)
+    return out if len(out) == len(adj) else None
 
 
 class _Index:
@@ -108,13 +135,13 @@ class _Index:
             m ^= low
         return frozenset(out)
 
-    @staticmethod
-    def positions(m: int) -> list[int]:
-        """The bit positions of ``m``, lowest first."""
+    def ranks(self, m: int) -> list[int]:
+        """The ranks of the elements of ``m``, lowest bit first."""
+        rank = self.rank
         out = []
         while m:
             low = m & -m
-            out.append(low.bit_length() - 1)
+            out.append(rank[low.bit_length() - 1])
             m ^= low
         return out
 
@@ -230,39 +257,26 @@ class _Index:
         least topological order of the level-n frame graph of ``m``, or None
         when that graph has a cycle.
 
-        Kahn's algorithm with a heap of ``(rank, bit)``: the order `_lex_topo`
-        gives over the frame graph's ids.  Only the low elements that enter
-        some cell can hold a cell back; the others are left out, as popping
-        them would not change which cells are ready.
+        `_lex_topo` over the graph with each element named by its rank, so
+        that the least rank is the least id.  Only the low elements that
+        enter some cell can hold a cell back; the others are left out, as
+        popping them would not change which cells are ready.
         """
         sides = self.frame_sides(m, maximal, n)
-        rank, dims = self.rank, self.dims
+        rank = self.rank
         entered = 0
         for _, into, _ in sides:
             entered |= into
-        succ: dict[int, list[int]] = {}
-        need: dict[int, int] = dict.fromkeys(self.positions(entered), 0)  # unpopped predecessors
+        succ: dict[int, list[int]] = {r: [] for r in self.ranks(entered)}
+        high: dict[int, int] = {}  # rank -> bit of each high cell
         for i, into, out in sides:
-            need[i] = into.bit_count()
-            for j in self.positions(into):
-                succ.setdefault(j, []).append(i)
-            succ[i] = self.positions(out & entered)
-            for j in succ[i]:
-                need[j] += 1
-        ready = [(rank[v], v) for v, count in need.items() if not count]
-        heapq.heapify(ready)
-        order = []
-        popped = 0
-        while ready:
-            v = heapq.heappop(ready)[1]
-            popped += 1
-            if dims[v] > n:
-                order.append(v)
-            for w in succ[v]:
-                need[w] -= 1
-                if not need[w]:
-                    heapq.heappush(ready, (rank[w], w))
-        return order if popped == len(need) else None
+            r = rank[i]
+            high[r] = i
+            for j in self.ranks(into):
+                succ[j].append(r)
+            succ[r] = self.ranks(out & entered)
+        order = _lex_topo(succ)
+        return None if order is None else [high[r] for r in order if r in high]
 
     def spherical(self, m: int) -> bool:
         """`spherical_boundary` of a mask."""

@@ -3,35 +3,19 @@
 The bipartite frame graph at level n relates maximal cells above n to the
 n-dimensional elements they feed through; its acyclicity at the frame
 dimension is what lets a molecule be taken apart layer by layer.
+
+Orders come from the one Kahn sort, `ogp._lex_topo`: k-orders through
+`_Index.frame_order`, and the Hasse-graph order of `totally_loop_free`
+directly.  `_frame_loops` tests a frame graph for a cycle without ordering it.
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .ogp import Complex, MINUS, PLUS, _Index
+from .ogp import Complex, MINUS, PLUS, _Index, _lex_topo
 from . import molecules as mol
-
-
-def _lex_topo(adj: dict[str, tuple[str, ...]]) -> list[str] | None:
-    """Topological order with lexicographically-least ready vertex, or None."""
-    indeg = {v: 0 for v in adj}
-    for v, ws in adj.items():
-        for w in ws:
-            indeg[w] += 1
-    ready = [v for v, d in indeg.items() if d == 0]
-    heapq.heapify(ready)
-    out = []
-    while ready:
-        v = heapq.heappop(ready)
-        out.append(v)
-        for w in adj[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(ready, w)
-    return out if len(out) == len(adj) else None
 
 
 def _find_cycle(adj: dict[str, tuple[str, ...]]) -> tuple[str, ...] | None:
@@ -186,6 +170,14 @@ def _frame_loops(ix: _Index, m: int) -> bool:
     The frame graph alternates low elements and high maximal cells, so it
     has a cycle exactly when the relation "the output of x meets the input
     of x'" on high cells does.
+
+    This gives the same answer as ``_Index.frame_order(...) is None`` and is
+    kept beside it for speed: it needs no order, so it takes whole rounds of
+    ready cells as masks instead of one vertex at a time from a heap.  Over
+    the 155,585 molecules that `frame_acyclic` checks on the bench's
+    600-entry frame_small corpus it took 1.5-1.7 s against 3.1-3.9 s for
+    `frame_order`, and a copy calling `frame_order` here spent 28% more CPU
+    time on that workload's ops (shared 2-vCPU machine).
     """
     maximal = ix.maximal(m)
     if not maximal & (maximal - 1):  # fewer than two maximal cells

@@ -102,7 +102,10 @@ def perm_decompose(s: Permutation) -> list[int]:
 
 
 def perm_recompose(word: Sequence[int], n: int) -> Permutation:
-    """Inverse of `perm_decompose` under the same composition convention."""
+    """Inverse of `perm_decompose` under the same composition convention;
+    each position must lie in 1..n-1."""
+    if any(not 1 <= k < n for k in word):
+        raise TheoryError(f"transposition positions must lie in 1..{n - 1}")
     cur = list(range(1, n + 1))
     for k in reversed(word):
         cur[k - 1], cur[k] = cur[k], cur[k - 1]
@@ -191,6 +194,8 @@ def sigma_expr(s: Permutation, w: Sequence[str]) -> Layered2Cell:
 def sigma_star_expr(s: Permutation, w: Sequence[str]) -> Layered2Cell:
     """The inverse-crossing realisation: the formal inverse of the positive
     word for the inverse permutation."""
+    if s.n != len(w):
+        raise TheoryError("permutation and word lengths differ")
     forward = sigma_expr(s.inverse(), tuple(w[s(j) - 1] for j in range(1, s.n + 1)))
     # invert: reverse the slices and flip every crossing
     word = tuple(w)

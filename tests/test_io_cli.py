@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from pastekit import globe, interval_chain, paste, u_cell, validate_complex
+from pastekit import Complex, globe, interval_chain, paste, u_cell, validate_complex
 from pastekit import cli
 from pastekit.cli import main
 from pastekit.fixtures import fixture_files, frob, power
@@ -469,6 +469,19 @@ def _side_by_side(fixture_dir, tmp_path):
     return ["compos", str(path)]
 
 
+def _disjoint_globes(n: int):
+    """``compos`` on two disjoint n-globes in one file, named ``pair<n>``."""
+
+    def argv(fixture_dir, tmp_path):
+        o = globe(n)
+        table = {f"{tag}{x}": (o.dim_of(x), [(f"{tag}{y}", s) for y, s in o.covers(x)]) for tag in "ab" for x in o}
+        path = tmp_path / f"pair{n}.json"
+        path.write_bytes(serialize_complex(Complex(f"pair{n}", table)))
+        return ["compos", str(path)]
+
+    return argv
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -480,8 +493,11 @@ def _side_by_side(fixture_dir, tmp_path):
         (_side_by_side, "((O1=>O1)#0(O1=>O1)): composite cell needs a spherical boundary"),
         (lambda d, t: ["export", str(d / "frob.json"), "--format", "svg"], "string diagrams render up to dimension 2"),
         (_two_source_layer, "wire layer is not a single path"),
+        # recognition finds no split of two arrows, and cannot tell above dimension 3
+        (_disjoint_globes(1), "pair1: not a molecule"),
+        (_disjoint_globes(4), "pair4: molecule status unknown"),
     ],
-    ids=["paste", "compos", "svg-dimension", "svg-two-sources"],
+    ids=["paste", "compos", "svg-dimension", "svg-two-sources", "compos-two-arrows", "compos-two-4-globes"],
 )
 def test_cli_semantic_failures_exit_1_with_one_line(fixture_dir, tmp_path, capsys, argv, message):
     assert main(argv(fixture_dir, tmp_path)) == 1

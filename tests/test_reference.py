@@ -4,14 +4,17 @@ Each reference recomputes from the covers on every call, the way the
 library did before it kept per-element facts: a cover-walking closure, a
 coface test for maximal elements, a boundary built per level and sign, the
 pairwise frame dimension, the level-n frame graph from per-call atom
-boundaries, `_lex_topo` over that graph's ids for the order of its high
-cells, and an enumeration that recomputes every boundary of a member set
-when it is added and again when it is popped.  Recognition and validation
-are remembered by each complex, so they are also checked on a complex
-whose memo is already full, on complexes derived from it, and on one
-complex shared by several threads.  A sequence pasted in one table is
-checked against the left fold of `paste`, and the frame-loop test of
-frame acyclicity against `_Index.frame_order`.
+boundaries, a heap-free Kahn loop (`ref_lex_topo`, which also checks the
+library's one sort `_lex_topo`) over that graph's ids for the order of its
+high cells, and an enumeration that recomputes every boundary of a member
+set when it is added and again when it is popped.  Recognition and
+validation are remembered by each complex, so they are also checked on a
+complex whose memo is already full, on complexes derived from it, and on
+one complex shared by several threads.  Pasting has one path in the
+library, so `ref_paste` keeps the two-factor glue of separate ``left/`` and
+``right/`` tables: `paste`, the fold of `paste` and `_paste_all` are checked
+against it and its left fold.  The frame-loop test of frame acyclicity is
+checked against `_Index.frame_order`.
 
 The complexes are random molecules, their duals, and copies with one cover
 sign flipped.  The flipped copies are usually not regular, which is where a
@@ -57,9 +60,9 @@ from pastekit import (
     u_cell,
     validate_complex,
 )
-from pastekit.molecules import _paste_all, whole
-from pastekit.ogp import ElementReport, ValidationReport
-from pastekit.orders import _find_cycle, _frame_graph, _frame_loops, _lex_topo
+from pastekit.molecules import _glue, _mismatch, _paste_all, _rename, unique_iso, whole
+from pastekit.ogp import ElementReport, ValidationReport, _lex_topo
+from pastekit.orders import _find_cycle, _frame_graph, _frame_loops
 from pastekit.render import _wire_sequence
 from pastekit.serialize import serialize_complex
 
@@ -251,11 +254,48 @@ def test_frame_dimension_and_frame_graphs_match_the_pairwise_reference(enumerate
                 assert maxd(cx, u.members, n).adjacency == ref_maxd_adjacency(cx, u.members, n)
 
 
+def ref_lex_topo(adj: dict) -> list | None:
+    """Take the least vertex with no predecessor left until none is ready:
+    no heap and no counts, each round rescans every edge."""
+    left = set(adj)
+    out = []
+    while left:
+        ready = [v for v in left if not any(v in adj[u] for u in left)]
+        if not ready:
+            return None
+        out.append(min(ready))
+        left.remove(out[-1])
+    return out
+
+
+def _random_digraph(rng: random.Random) -> dict:
+    """Up to 8 vertices, named by strings or by ints, with random edges;
+    self-loops and repeated edges are allowed."""
+    n = rng.randint(0, 8)
+    names = rng.sample(range(100), n) if rng.random() < 0.5 else rng.sample([f"v{i}" for i in range(20)], n)
+    density = rng.random() / 2
+    return {
+        v: [w for w in names for _ in range(rng.randint(1, 2)) if rng.random() < density]
+        for v in names
+    }
+
+
+def test_lex_topo_matches_the_naive_kahn_loop():
+    rng = random.Random(0x70B0)
+    outcomes = set()
+    for _ in range(3000):
+        adj = _random_digraph(rng)
+        want = ref_lex_topo(adj)
+        assert _lex_topo(adj) == want, adj
+        outcomes.add(want is None)
+    assert outcomes == {True, False}
+
+
 def ref_high_order(cx: Complex, members: frozenset[str], k: int) -> list[str] | None:
-    """The high cells of the level-k frame graph in `_lex_topo` order over its ids."""
+    """The high cells of the level-k frame graph in `ref_lex_topo` order over its ids."""
     ix = cx._index()
     g = _frame_graph(ix, ix.mask(members), k)
-    order = _lex_topo(g.adjacency)
+    order = ref_lex_topo(g.adjacency)
     return None if order is None else [x for x in order if x in g.high]
 
 
@@ -431,7 +471,7 @@ def ref_recognize(cx: Complex, members: frozenset[str], memo: dict | None = None
     n = cx.dim_of_subset(members)
     inconclusive = n >= 4
     for k in range(max(ref_frame_dimension(cx, members), 0), n):
-        order = _lex_topo(ref_maxd_adjacency(cx, members, k))
+        order = ref_lex_topo(ref_maxd_adjacency(cx, members, k))
         if order is None:
             continue
         highs = [x for x in order if x in maximal and cx.dim_of(x) > k]
@@ -758,11 +798,32 @@ def test_frame_loops_agrees_with_frame_order(enumerated):
     assert outcomes == {True, False}
 
 
+def ref_paste(u1: Molecule, u2: Molecule, k: int, name: str | None = None) -> Molecule:
+    """Two molecules glued along the isomorphism of their output and input
+    k-boundaries, as one `_glue` table: ``left/x`` and ``right/y`` ids."""
+    if k < 0:
+        raise PastingError("pasting dimension must be >= 0")
+    b1 = u1.boundary(k, PLUS)
+    b2 = u2.boundary(k, MINUS)
+    iso = unique_iso((u1.complex, b1), (u2.complex, b2))
+    if iso is None:
+        raise PastingError(
+            f"cannot paste {u1.complex.name} and {u2.complex.name} at {k}: "
+            f"boundaries not isomorphic ({_mismatch(u1.complex, b1, u2.complex, b2)})"
+        )
+    table, left_map, right_map = _glue(
+        u1.complex, u1.members, u2.complex, u2.members, {y: x for x, y in iso.items()}
+    )
+    cx = Complex(name or f"({u1.complex.name}#{k}{u2.complex.name})", table)
+    cert = Pasting(k, _rename(u1.certificate, left_map), _rename(u2.certificate, right_map))
+    return Molecule(cx, cx.whole(), cert, left_map, right_map)
+
+
 def ref_paste_fold(us: list[Molecule], k: int) -> Molecule:
-    """``paste(...paste(us[0], us[1], k)..., us[-1], k)``: one new complex per factor."""
+    """``ref_paste(...ref_paste(us[0], us[1], k)..., us[-1], k)``: one new complex per factor."""
     u = us[0]
     for v in us[1:]:
-        u = paste(u, v, k)
+        u = ref_paste(u, v, k)
     return u
 
 
@@ -792,22 +853,38 @@ def _factor_rows(rng: random.Random) -> list[list[Molecule]]:
     return rows
 
 
+def _assert_pastes_like_the_reference(us: list[Molecule], k: int) -> None:
+    """`_paste_all` and the fold of `paste` against the fold of `ref_paste`,
+    and `paste` of each neighbouring pair, named and unnamed, against `ref_paste`."""
+    want = ref_paste_fold(us, k)
+    _assert_same_pasting(_paste_all(us, k), want)
+    folded = us[0]
+    for v in us[1:]:
+        folded = paste(folded, v, k)
+    _assert_same_pasting(folded, want)
+    for a, b in zip(us, us[1:]):
+        _assert_same_pasting(paste(a, b, k), ref_paste(a, b, k))
+        _assert_same_pasting(paste(a, b, k, name="glued"), ref_paste(a, b, k, name="glued"))
+
+
 def test_paste_all_matches_the_fold():
     for n in [*range(1, 60), 100, 200]:
         _assert_same_pasting(interval_chain(n), ref_paste_fold([globe_molecule(1) for _ in range(n)], 0))
     rng = random.Random(13)
     for _ in range(60):
         wires = [rng.randint(1, 3) for _ in range(rng.randint(2, 7))]
-        stack = [u_cell(a, b) for a, b in zip(wires, wires[1:])]
-        _assert_same_pasting(_paste_all(stack, 1), ref_paste_fold(stack, 1))
+        _assert_pastes_like_the_reference([u_cell(a, b) for a, b in zip(wires, wires[1:])], 1)
+    # some factors of these rows are a proper submolecule of their complex
     for row in _factor_rows(rng):
-        _assert_same_pasting(_paste_all(row, 0), ref_paste_fold(row, 0))
+        _assert_pastes_like_the_reference(row, 0)
 
 
 @pytest.mark.parametrize("factors, k", [
     ([(2, 1), (3, 1)], 1),
     ([(1, 2), (2, 2), (2, 1), (3, 1)], 1),
     ([(1, 1), (1, 1)], -1),
+    ([(1, 2), (1, 1)], 1),
+    ([(2, 1), (1, 2)], -2),
 ])
 def test_paste_all_fails_where_the_fold_fails(factors, k):
     us = [u_cell(a, b) for a, b in factors]
@@ -816,3 +893,12 @@ def test_paste_all_fails_where_the_fold_fails(factors, k):
     with pytest.raises(PastingError) as got:
         _paste_all(us, k)
     assert str(got.value) == str(want.value)
+    # `paste` of the first two factors fails as `ref_paste` does, or agrees with it
+    try:
+        want_two = ref_paste(us[0], us[1], k)
+    except PastingError as exc:
+        with pytest.raises(PastingError) as got:
+            paste(us[0], us[1], k, name="glued")
+        assert str(got.value) == str(exc)
+    else:
+        _assert_same_pasting(paste(us[0], us[1], k), want_two)

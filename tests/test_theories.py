@@ -35,6 +35,11 @@ def test_decompose_examples():
     assert perm_decompose(Permutation.identity(4)) == []
     assert perm_decompose(Permutation((2, 5, 1, 4, 3))) == [2, 1, 3, 4, 3]
     assert perm_decompose(Permutation((3, 2, 1))) == [1, 2, 1]
+    # positions outside 1..n-1 name no adjacent pair
+    for word in ([0], [3], [1, 3], [-1]):
+        with pytest.raises(TheoryError, match="positions must lie in 1..2"):
+            perm_recompose(word, 3)
+    assert perm_recompose([2, 1], 3) == Permutation((2, 3, 1))
 
 
 @given(perms)
@@ -64,6 +69,10 @@ def test_sigma_basic_shapes():
     assert len(e.slices) == 1 and e.slices[0].op == Braid("a", "b")
     e5 = sigma_expr(Permutation((2, 5, 1, 4, 3)), tuple("abcde"))
     assert len(e5.slices) == 5
+    for word in (("a",), ("a", "b", "c")):
+        for f in (sigma_expr, sigma_star_expr):
+            with pytest.raises(TheoryError, match="permutation and word lengths differ"):
+                f(Permutation((2, 1)), word)
 
 
 def test_sigma_star_unfolds_to_inverse_word():
