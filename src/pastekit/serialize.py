@@ -1,8 +1,12 @@
 """Canonical JSON forms for complexes, presentations, and expressions.
 
 Serialization is deterministic: element ids and covers are sorted, key
-order is fixed, and reserialising a parsed document reproduces it byte for
-byte.  Optional ``comment`` and ``names`` fields survive round trips.
+order is fixed by each writer, and reserialising a parsed document
+reproduces it byte for byte.  Optional ``comment`` and ``names`` fields
+survive round trips.  Every writer goes through `_dump`, whose layout is
+``json.dumps(doc, ensure_ascii=False, indent=2)`` and a final newline: a
+two-space indent, one value per line, ``[]`` and ``{}`` for empty
+containers, and non-ASCII text written as UTF-8.
 """
 from __future__ import annotations
 
@@ -31,7 +35,84 @@ class ParseError(ValueError):
 
 
 def _dump(doc: Any) -> bytes:
-    return (json.dumps(doc, ensure_ascii=False, indent=2) + "\n").encode("utf-8")
+    """The bytes of ``json.dumps(doc, ensure_ascii=False, indent=2)`` and a newline.
+
+    With an indent, json writes through its pure-Python encoder.  Here each
+    key and string goes through json's C string encoder and the separators
+    are written directly.  A ``str`` in a container, and an ``int`` in a
+    dict, is written in its container's loop; every other value goes through
+    `value`.  The recursion is as deep as the document, which `json.loads`
+    bounds for anything parsed.
+    """
+    chunks: list[str] = []
+    emit = chunks.append
+    enc = json.encoder.encode_basestring
+
+    def value(v: Any, nl: str) -> None:
+        if isinstance(v, dict):
+            if not v:
+                emit("{}")
+                return
+            inner = nl + "  "
+            sep = "{" + inner
+            for k, x in v.items():
+                key = enc(k) if type(k) is str else _key(k)
+                if type(x) is str:
+                    emit(f"{sep}{key}: {enc(x)}")
+                elif type(x) is int:
+                    emit(f"{sep}{key}: {int.__repr__(x)}")
+                else:
+                    emit(f"{sep}{key}: ")
+                    value(x, inner)
+                sep = "," + inner
+            emit(nl + "}")
+        elif isinstance(v, (list, tuple)):
+            if not v:
+                emit("[]")
+                return
+            inner = nl + "  "
+            sep = "[" + inner
+            for x in v:
+                if type(x) is str:
+                    emit(sep + enc(x))
+                else:
+                    emit(sep)
+                    value(x, inner)
+                sep = "," + inner
+            emit(nl + "]")
+        else:
+            emit(_scalar(v))
+
+    value(doc, "\n")
+    emit("\n")
+    text = "".join(chunks)
+    chunks.clear()  # the pieces go before the bytes are made
+    return text.encode("utf-8")
+
+
+def _scalar(v: Any) -> str:
+    """A JSON value that is not a container, spelled as json spells it."""
+    if isinstance(v, str):
+        return json.encoder.encode_basestring(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        text = float.__repr__(v)
+        return "NaN" if text == "nan" else text.replace("inf", "Infinity")
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
+def _key(k: Any) -> str:
+    """A non-``str`` dict key, turned into a string as json turns it."""
+    if not isinstance(k, (str, int, float)) and k is not None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+    return json.encoder.encode_basestring(k if isinstance(k, str) else _scalar(k))
 
 
 def _load(data: bytes | str) -> Any:

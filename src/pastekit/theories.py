@@ -211,11 +211,12 @@ def sigma_star_expr(s: Permutation, w: Sequence[str]) -> Layered2Cell:
 
 def wire_permutation(e: Layered2Cell) -> Permutation:
     """Trace the wires of a crossings-only cell: input i exits at position s(i)."""
+    if any(isinstance(s.op, GenRef) for s in e.slices):
+        raise TheoryError("wire tracing needs a crossings-only cell")
+    e.target({})  # raises TheoryError unless the slices chain
     n = len(e.source)
     at = list(range(1, n + 1))  # at[p-1] = the input wire currently at position p
     for s in e.slices:
-        if isinstance(s.op, GenRef):
-            raise TheoryError("wire tracing needs a crossings-only cell")
         k = len(s.pre)
         at[k], at[k + 1] = at[k + 1], at[k]
     out = [0] * n

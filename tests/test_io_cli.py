@@ -469,6 +469,29 @@ def _side_by_side(fixture_dir, tmp_path):
     return ["compos", str(path)]
 
 
+def _o3_edited(edit):
+    """``interpret`` on o3 after ``edit`` of its elements by id: no longer regular, still an atom."""
+
+    def argv(fixture_dir, tmp_path):
+        doc = json.loads((fixture_dir / "o3.json").read_bytes())
+        edit({e["id"]: e for e in doc["elements"]})
+        path = tmp_path / "o3.json"
+        path.write_text(json.dumps(doc))
+        return ["interpret", str(path)]
+
+    return argv
+
+
+def _cut_2_minus(elements):
+    elements["2-"]["covers"] = [{"id": "1-", "sign": "-"}]
+
+
+def _flip_1_minus(elements):
+    for cover in elements["1-"]["covers"]:
+        if cover["id"] == "0+":
+            cover["sign"] = "-"
+
+
 def _disjoint_globes(n: int):
     """``compos`` on two disjoint n-globes in one file, named ``pair<n>``."""
 
@@ -496,8 +519,13 @@ def _disjoint_globes(n: int):
         # recognition finds no split of two arrows, and cannot tell above dimension 3
         (_disjoint_globes(1), "pair1: not a molecule"),
         (_disjoint_globes(4), "pair4: molecule status unknown"),
+        (_o3_edited(_cut_2_minus), "O3: precedence is not total on this subset"),
+        (_o3_edited(_flip_1_minus), "O3: precedence is not total on this subset"),
     ],
-    ids=["paste", "compos", "svg-dimension", "svg-two-sources", "compos-two-arrows", "compos-two-4-globes"],
+    ids=[
+        "paste", "compos", "svg-dimension", "svg-two-sources", "compos-two-arrows", "compos-two-4-globes",
+        "interpret-cut-cover", "interpret-flipped-sign",
+    ],
 )
 def test_cli_semantic_failures_exit_1_with_one_line(fixture_dir, tmp_path, capsys, argv, message):
     assert main(argv(fixture_dir, tmp_path)) == 1
@@ -527,6 +555,13 @@ def test_cli_fixtures_lists(capsys):
     assert main(["fixtures"]) == 0
     names = capsys.readouterr().out.split()
     assert "frob.json" in names and "power.json" in names
+
+
+def test_readme_file_format_example_is_the_o1_fixture():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+    section = readme.split("## File formats", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    assert block.encode("utf-8") == fixture_files()["o1.json"]
 
 
 def test_all_shipped_complex_fixtures_validate(fixture_dir):

@@ -1,7 +1,9 @@
+import random
 import re
 
 import pytest
 
+from conftest import random_molecule
 from pastekit import (
     BASEPOINT,
     Complex,
@@ -9,6 +11,7 @@ from pastekit import (
     MINUS,
     PLUS,
     ProductError,
+    UNKNOWN,
     globe,
     gray_labelled,
     gray_product,
@@ -20,7 +23,7 @@ from pastekit import (
     unique_iso,
     validate_complex,
 )
-from pastekit.ogp import flip
+from pastekit.ogp import FAIL, flip
 from pastekit.render import _wire_sequence
 from pastekit.serialize import serialize_complex
 
@@ -61,6 +64,20 @@ def test_gray_always_validates():
     for p in FACTORS.values():
         for q in FACTORS.values():
             assert validate_complex(gray_product(p, q)).passed
+
+
+def test_products_of_random_molecules_are_regular():
+    # gray_product validates its factors only, relying on the theorem that
+    # products of regular complexes are regular; check it on random ones
+    rng = random.Random(0x6A7)
+    for i in range(40):
+        p, q = (random_molecule(rng, max_elements=14, max_dim=2).as_complex(f"{side}{i}") for side in "pq")
+        pq = gray_product(p, q)
+        report = validate_complex(pq)
+        assert report.passed and report.unknowns == 0, pq.name
+        for check in report.checks:
+            assert {check.input_molecule, check.output_molecule}.isdisjoint({FAIL, UNKNOWN}), check
+        gray_projections(pq, p, q)
 
 
 def _raw_gray(p: Complex, q: Complex) -> Complex:

@@ -14,7 +14,10 @@ one complex shared by several threads.  Pasting has one path in the
 library, so `ref_paste` keeps the two-factor glue of separate ``left/`` and
 ``right/`` tables: `paste`, the fold of `paste` and `_paste_all` are checked
 against it and its left fold.  The frame-loop test of frame acyclicity is
-checked against `_Index.frame_order`.
+checked against `_Index.frame_order`.  The canonical JSON writer `_dump` is
+checked against ``json.dumps(indent=2)`` (`ref_dump`), json's own indenting
+encoder, on every document the golden tests write, the shipped fixtures and
+random JSON values.
 
 The complexes are random molecules, their duals, and copies with one cover
 sign flipped.  The flipped copies are usually not regular, which is where a
@@ -23,12 +26,16 @@ boundaries of a pasting from those of its halves) would show.
 """
 from __future__ import annotations
 
+import json
 import random
 import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import test_golden
 from conftest import random_molecule
 from pastekit import (
     Atom,
@@ -63,8 +70,10 @@ from pastekit import (
 from pastekit.molecules import _glue, _mismatch, _paste_all, _rename, unique_iso, whole
 from pastekit.ogp import ElementReport, ValidationReport, _lex_topo
 from pastekit.orders import _find_cycle, _frame_graph, _frame_loops
+from pastekit import serialize
+from pastekit.fixtures import fixture_files
 from pastekit.render import _wire_sequence
-from pastekit.serialize import serialize_complex
+from pastekit.serialize import _dump, parse_complex, serialize_complex
 
 SIGNS = (MINUS, PLUS)
 
@@ -902,3 +911,81 @@ def test_paste_all_fails_where_the_fold_fails(factors, k):
         assert str(got.value) == str(exc)
     else:
         _assert_same_pasting(paste(us[0], us[1], k), want_two)
+
+
+def ref_dump(doc) -> bytes:
+    return (json.dumps(doc, ensure_ascii=False, indent=2) + "\n").encode("utf-8")
+
+
+def test_dump_matches_json_on_every_golden_document(monkeypatch):
+    written = []
+
+    def recording_dump(doc):
+        written.append(doc)
+        return _dump(doc)
+
+    monkeypatch.setattr(serialize, "_dump", recording_dump)
+    for name in dir(test_golden):
+        if name.startswith("test_"):
+            getattr(test_golden, name)()
+    assert len(written) > 70
+    for doc in written:
+        assert _dump(doc) == ref_dump(doc)
+
+
+def test_dump_matches_json_on_the_fixture_files():
+    files = fixture_files()
+    assert len(files) == 22
+    for blob in files.values():
+        assert _dump(json.loads(blob)) == ref_dump(json.loads(blob)) == blob
+
+
+_json_text = st.text() | st.sampled_from(["", "\x00", '"', "\\", "é", "\u2028", "\U0001f600", "a\nb\tc"])
+_json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=10**18, max_value=10**60)
+    | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e300])
+    | _json_text
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(_json_text, children, max_size=4),
+    max_leaves=25,
+)
+
+
+@given(_json_values)
+@settings(max_examples=300, deadline=None)
+def test_dump_matches_json_on_random_values(value):
+    assert _dump(value) == ref_dump(value)
+
+
+def test_a_comment_nested_900_deep_reserializes():
+    depth = 900
+    # `depth` nested lists, the innermost empty, written at indent level 1
+    comment = "\n".join(
+        ["["]
+        + ["  " * level + "[" for level in range(2, depth)]
+        + ["  " * depth + "[]"]
+        + ["  " * level + "]" for level in range(depth - 1, 0, -1)]
+    )
+    o1 = fixture_files()["o1.json"].decode()
+    data = o1.replace('"name": "O1",\n', f'"name": "O1",\n  "comment": {comment},\n', 1)
+    assert data != o1
+    cx, extra = parse_complex(data)
+    assert serialize_complex(cx, extra) == data.encode()
+
+
+def test_dump_follows_json_on_values_json_loads_never_returns():
+    # tuples are lists and non-string keys become strings, as in json
+    for value in ((1, ("a",)), {1: "a", 2.5: [], False: None, None: -0.0, float("inf"): 1}):
+        assert _dump(value) == ref_dump(value)
+    for bad in ({1, 2}, {"a": [object()]}, {(1,): 2}):
+        with pytest.raises(TypeError) as want:
+            ref_dump(bad)
+        with pytest.raises(TypeError) as got:
+            _dump(bad)
+        assert str(got.value) == str(want.value)

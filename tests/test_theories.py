@@ -63,6 +63,18 @@ def test_braiding_words_trace_the_permutation(s):
     assert all(isinstance(sl.op, BraidInv) for sl in star.slices)
 
 
+def test_wire_permutation_rejects_slices_that_do_not_chain():
+    for cell in (
+        Layered2Cell(("a", "b", "c"), (Slice((), Braid("x", "y"), ("c",)),)),
+        # a crossing of the last wire with one past the end
+        Layered2Cell(("a", "b"), (Slice(("a",), Braid("b", "c"), ()),)),
+    ):
+        with pytest.raises(TheoryError, match="slice does not chain"):
+            cell.target({})
+        with pytest.raises(TheoryError, match="slice does not chain"):
+            wire_permutation(cell)
+
+
 def test_sigma_basic_shapes():
     assert sigma_expr(Permutation.identity(3), ("a", "b", "c")).slices == ()
     e = sigma_expr(Permutation((2, 1)), ("a", "b"))
