@@ -142,12 +142,7 @@ def cmd_interpret(args) -> int:
     order = None
     if args.order:
         order = KOrder(2, tuple(args.order.split(",")))
-    try:
-        expr = interpret(u, order)
-    except RuntimeError as exc:
-        # recognition assumes a regular complex, so a non-regular one can pass
-        # as an atom and fail later, in the precedence of its boundaries
-        raise SystemExitWith(SEMANTIC_ERROR, f"{cx.name}: {exc}") from exc
+    expr = interpret(u, order)
     names = {v: k for k, v in extra.get("names", {}).items()}
     print(format_expr(expr, names))
     return 0

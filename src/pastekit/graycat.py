@@ -4,8 +4,9 @@ A normal-form 2-cell is a 2-dimensional closed subset together with an
 admissible ordering of its cells.  A 3-dimensional composite is a step
 sequence: swaps of two adjacent independent cells (interchangers) and
 applications of a 3-cell to a contiguous block (generator steps).  The
-precedence of a support (the rank of each cell, and which cells reach
-which) is derived once and passed down.  One loop threads generator steps
+precedence of a support (its normal order, the rank of each cell, and which
+cells reach which) is derived once per complex and kept on its index, where
+every step looks it up.  One loop threads generator steps
 between canonical interchanger phases: for `interpret`, for
 `interpret_atom_in_context`, and for `expr_normalize`, which decides equality.
 """
@@ -69,20 +70,28 @@ class GrayExpr3:
 
 # -- precedence ----------------------------------------------------------------
 
-# The rank of each cell in the normal order of a support, and the elements
-# each cell reaches through the support's level-1 frame graph.
-Precedence = tuple[dict[str, int], dict[str, frozenset[str]]]
+# The normal order of a support's cells, the rank of each cell in it, and the
+# elements each cell reaches through the support's level-1 frame graph.
+Precedence = tuple[tuple[str, ...], dict[str, int], dict[str, frozenset[str]]]
 
 
 def _precedence(cx: Complex, support: frozenset[str]) -> Precedence:
-    rank = {x: i for i, x in enumerate(normal_order_of_subset(cx, support))}
-    g = maxd(cx, support, 1)
-    return rank, {x: g.reachable(x) for x in g.high}
+    """The precedence of a support, kept on the complex's index."""
+    ix = cx._index()
+    m = ix.mask(support)
+    if m not in ix.precedence:
+        try:
+            order = normal_order_of_subset(cx, support)
+        except RuntimeError as exc:  # recognition takes some non-regular complexes for atoms
+            raise ExpressionError(f"{cx.name}: {exc}") from exc
+        g = maxd(cx, support, 1)
+        ix.precedence[m] = order, {x: i for i, x in enumerate(order)}, {x: g.reachable(x) for x in g.high}
+    return ix.precedence[m]
 
 
 def inversion_weight(cx: Complex, nf: TwoCellNF) -> int:
     """Pairs listed against the precedence order of the support."""
-    rank, _ = _precedence(cx, nf.support)
+    _, rank, _ = _precedence(cx, nf.support)
     _in_support(rank, nf.order)
     w = 0
     for i in range(len(nf.order)):
@@ -104,12 +113,12 @@ def _in_support(rank: Mapping[str, int], cells: Iterable[str]) -> None:
 def _atom_boundary_cells(cx: Complex, atom: str, sign: str) -> tuple[frozenset[str], tuple[str, ...]]:
     cl = cx.closure([atom])
     bd = cx.boundary(cl, 2, sign)
-    return bd, normal_order_of_subset(cx, bd)
+    return bd, _precedence(cx, bd)[0]
 
 
-def _swap(nf: TwoCellNF, step: Interchange, prec: Precedence) -> TwoCellNF:
+def _swap(cx: Complex, nf: TwoCellNF, step: Interchange) -> TwoCellNF:
     """Validate an interchanger against the precedence of the support and apply it."""
-    rank, reach = prec
+    _, rank, reach = _precedence(cx, nf.support)
     p = step.pos
     if not 0 <= p < len(nf.order) - 1:
         raise ExpressionError(f"interchange position {p} out of range")
@@ -134,7 +143,7 @@ def _swap(nf: TwoCellNF, step: Interchange, prec: Precedence) -> TwoCellNF:
 def apply_step(cx: Complex, nf: TwoCellNF, step: Step) -> TwoCellNF:
     """Validate one step against a normal form and produce the next one."""
     if isinstance(step, Interchange):
-        return _swap(nf, step, _precedence(cx, nf.support))
+        return _swap(cx, nf, step)
     if step.atom not in cx or cx.dim_of(step.atom) != 3:
         raise ExpressionError(f"{step.atom!r} is not a 3-cell")
     bm, bm_order = _atom_boundary_cells(cx, step.atom, MINUS)
@@ -154,15 +163,8 @@ def apply_step(cx: Complex, nf: TwoCellNF, step: Step) -> TwoCellNF:
 def walk(e: GrayExpr3) -> list[TwoCellNF]:
     """All normal forms along an expression, validating every step."""
     nfs = [e.source]
-    prec = None  # of the current support, shared by a run of interchangers
     for step in e.steps:
-        if isinstance(step, Interchange):
-            if prec is None:
-                prec = _precedence(e.complex, nfs[-1].support)
-            nfs.append(_swap(nfs[-1], step, prec))
-        else:
-            prec = None
-            nfs.append(apply_step(e.complex, nfs[-1], step))
+        nfs.append(apply_step(e.complex, nfs[-1], step))
     return nfs
 
 
@@ -196,12 +198,20 @@ def _to_normal_swaps(rank: dict[str, int], order: tuple[str, ...]) -> list[tuple
     return swaps
 
 
-def _path(prec: Precedence, frm: Sequence[str], to: Sequence[str]) -> tuple[Step, ...]:
+def interchanger_path(
+    cx: Complex, support: frozenset[str], frm: Sequence[str], to: Sequence[str]
+) -> tuple[Step, ...]:
+    """The canonical interchanger composite between two orders on one support.
+
+    Both orders are sorted toward the precedence order; the second path is
+    then reversed.  Any two step lists produced this way between the same
+    orders are identical.
+    """
     frm = tuple(frm)
     to = tuple(to)
     if sorted(frm) != sorted(to):
         raise ExpressionError("orders do not contain the same cells")
-    rank, reach = prec
+    _, rank, reach = _precedence(cx, support)
     for order in (frm, to):
         pos = {x: i for i, x in enumerate(order)}
         if sorted(order) != sorted(rank) or any(
@@ -226,18 +236,6 @@ def _path(prec: Precedence, frm: Sequence[str], to: Sequence[str]) -> tuple[Step
     return tuple(steps)
 
 
-def interchanger_path(
-    cx: Complex, support: frozenset[str], frm: Sequence[str], to: Sequence[str]
-) -> tuple[Step, ...]:
-    """The canonical interchanger composite between two orders on one support.
-
-    Both orders are sorted toward the precedence order; the second path is
-    then reversed.  Any two step lists produced this way between the same
-    orders are identical.
-    """
-    return _path(_precedence(cx, support), frm, to)
-
-
 # -- threading generator steps ---------------------------------------------------
 
 
@@ -258,13 +256,12 @@ def _thread(
     steps: list[Step] = []
     cur = source
     for atom in atoms:
-        prec = _precedence(cx, cur.support)
         _, bm_order = _atom_boundary_cells(cx, atom, MINUS)
         block = frozenset(bm_order)
         if not block <= set(cur.order):
             raise ExpressionError(f"input cells of {atom!r} are not available")
         if context is None:
-            _, reach = prec
+            _, _, reach = _precedence(cx, cur.support)
             rest = tuple(c for c in cur.order if c not in block)
             p_min, p_max = 0, len(rest)
             for idx, c in enumerate(rest):
@@ -279,7 +276,7 @@ def _thread(
             hole = context.index(atom)
             pre, post = tuple(context[:hole]), tuple(context[hole + 1 :])
         ctx = pre + bm_order + post
-        steps.extend(_path(prec, cur.order, ctx))
+        steps.extend(interchanger_path(cx, cur.support, cur.order, ctx))
         app = GenApp(atom, pre, post)
         cur = apply_step(cx, TwoCellNF(cur.support, ctx), app)
         steps.append(app)
@@ -295,8 +292,8 @@ def _interpretation(
     """Thread ``atoms`` between the canonically ordered 2-boundaries of ``u``."""
     cx = u.complex
     bm, bp = (cx.boundary(u.members, 2, sign) for sign in (MINUS, PLUS))
-    source = TwoCellNF(bm, normal_order_of_subset(cx, bm))
-    target = TwoCellNF(bp, normal_order_of_subset(cx, bp))
+    source = TwoCellNF(bm, _precedence(cx, bm)[0])
+    target = TwoCellNF(bp, _precedence(cx, bp)[0])
     return GrayExpr3(cx, source, _thread(cx, source, atoms, target, context))
 
 

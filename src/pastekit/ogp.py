@@ -76,14 +76,15 @@ class _Index:
     The complex is immutable, so what is found about it is a pure function
     of this index and is kept here: ``recognized`` maps each closed mask
     whose recognition search has finished to its certificate, ``None`` or
-    ``UNKNOWN``, and ``report`` holds `validate_complex`'s checks once made.
-    Entries are only ever added, each in one assignment, so threads sharing
-    a complex at worst repeat a search and store an equal result.
+    ``UNKNOWN``, ``report`` holds `validate_complex`'s checks once made, and
+    ``precedence`` maps support masks to `graycat._precedence`.  Entries are
+    only ever added, each in one assignment, so threads sharing a complex at
+    worst repeat a search and store an equal result.
     """
 
     __slots__ = (
         "name", "ids", "pos", "rank", "dims", "lower", "down", "cover", "cofaces", "sides",
-        "recognized", "report",
+        "recognized", "report", "precedence",
     )
 
     def __init__(self, cx: "Complex"):
@@ -115,6 +116,7 @@ class _Index:
         self.sides: dict[tuple[int, int], tuple[int, int]] = {}
         self.recognized: dict[int, object] = {}
         self.report: tuple | None = None
+        self.precedence: dict[int, tuple] = {}
 
     def mask(self, members: Iterable[str]) -> int:
         pos = self.pos
@@ -308,8 +310,8 @@ class Complex:
     behind signatures that take and return ``frozenset`` ids.  The index
     also caches each cell's input and output boundaries off its rim, which
     frame graphs are built from, the result of each finished recognition
-    search, and `validate_complex`'s checks; that only saves recomputation,
-    and there is no other cache.
+    search, `validate_complex`'s checks and graycat's precedences; that only
+    saves recomputation, and there is no other cache.
     """
 
     __slots__ = (

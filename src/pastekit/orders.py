@@ -214,14 +214,18 @@ def k_order(u: mol.Molecule, k: int) -> KOrder | None:
 
 
 def is_k_order(u: mol.Molecule, k: int, sequence: Sequence[str]) -> bool:
-    g = maxd(u.complex, u.members, k)
-    if sorted(sequence) != sorted(g.high):
+    """Whether ``sequence`` lists the level-k high cells, no output meeting an earlier input."""
+    ix = u.complex._index()
+    m = ix.mask(u.members)
+    sides = {ix.ids[i]: (into, out) for i, into, out in ix.frame_sides(m, ix.maximal(m), k)}
+    if sorted(sequence) != sorted(sides):
         return False
-    pos = {x: i for i, x in enumerate(sequence)}
-    for x in g.high:
-        for y in g.reachable(x):
-            if y in pos and pos[y] < pos[x]:
-                return False
+    entered = 0  # the inputs of the cells listed so far
+    for x in sequence:
+        into, out = sides[x]
+        if out & entered:
+            return False
+        entered |= into
     return True
 
 

@@ -7,9 +7,11 @@ from pathlib import Path
 import pytest
 
 from pastekit import Complex, globe, interval_chain, paste, u_cell, validate_complex
-from pastekit import cli
+from pastekit import cli, interpret
 from pastekit.cli import main
 from pastekit.fixtures import fixture_files, frob, power
+from pastekit.graycat import ExpressionError
+from pastekit.molecules import whole
 from pastekit.render import export_dot, export_dot_maxd, export_svg_2diagram
 from pastekit.serialize import (
     ParseError,
@@ -469,14 +471,19 @@ def _side_by_side(fixture_dir, tmp_path):
     return ["compos", str(path)]
 
 
+def _o3_doc(fixture_dir, edit) -> str:
+    """o3 after ``edit`` of its elements by id: no longer regular, still an atom."""
+    doc = json.loads((fixture_dir / "o3.json").read_bytes())
+    edit({e["id"]: e for e in doc["elements"]})
+    return json.dumps(doc)
+
+
 def _o3_edited(edit):
-    """``interpret`` on o3 after ``edit`` of its elements by id: no longer regular, still an atom."""
+    """``interpret`` on `_o3_doc`."""
 
     def argv(fixture_dir, tmp_path):
-        doc = json.loads((fixture_dir / "o3.json").read_bytes())
-        edit({e["id"]: e for e in doc["elements"]})
         path = tmp_path / "o3.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(_o3_doc(fixture_dir, edit))
         return ["interpret", str(path)]
 
     return argv
@@ -531,6 +538,13 @@ def test_cli_semantic_failures_exit_1_with_one_line(fixture_dir, tmp_path, capsy
     assert main(argv(fixture_dir, tmp_path)) == 1
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", message + "\n")
+
+
+@pytest.mark.parametrize("edit", [_cut_2_minus, _flip_1_minus])
+def test_interpret_of_a_non_regular_atom_is_an_expression_error(fixture_dir, edit):
+    cx, _ = parse_complex(_o3_doc(fixture_dir, edit))
+    with pytest.raises(ExpressionError, match="O3: precedence is not total"):
+        interpret(whole(cx))
 
 
 def test_cli_deeply_nested_json_is_a_parse_error(tmp_path, capsys):

@@ -7,17 +7,19 @@ pairwise frame dimension, the level-n frame graph from per-call atom
 boundaries, a heap-free Kahn loop (`ref_lex_topo`, which also checks the
 library's one sort `_lex_topo`) over that graph's ids for the order of its
 high cells, and an enumeration that recomputes every boundary of a member
-set when it is added and again when it is popped.  Recognition and
-validation are remembered by each complex, so they are also checked on a
-complex whose memo is already full, on complexes derived from it, and on
-one complex shared by several threads.  Pasting has one path in the
-library, so `ref_paste` keeps the two-factor glue of separate ``left/`` and
-``right/`` tables: `paste`, the fold of `paste` and `_paste_all` are checked
-against it and its left fold.  The frame-loop test of frame acyclicity is
-checked against `_Index.frame_order`.  The canonical JSON writer `_dump` is
-checked against ``json.dumps(indent=2)`` (`ref_dump`), json's own indenting
-encoder, on every document the golden tests write, the shipped fixtures and
-random JSON values.
+set when it is added and again when it is popped.  `is_k_order` is
+checked against reachability in the frame graph (`ref_is_k_order`).
+Recognition, validation and graycat's precedences are remembered by each
+complex, so they are also checked on a complex whose memo is already full,
+on complexes derived from it, and on one complex shared by several
+threads.  Pasting has one path in the library, so `ref_paste` keeps the
+two-factor glue of separate ``left/`` and ``right/`` tables: `paste`, the
+fold of `paste` and `_paste_all` are checked against it and its left fold.
+The frame-loop test of frame acyclicity is checked against
+`_Index.frame_order`.  The canonical JSON writer `_dump` is checked against
+``json.dumps(indent=2)`` (`ref_dump`), json's own indenting encoder, on
+every document the golden tests write, the shipped fixtures and random
+JSON values.
 
 The complexes are random molecules, their duals, and copies with one cover
 sign flipped.  The flipped copies are usually not regular, which is where a
@@ -26,7 +28,9 @@ boundaries of a pasting from those of its halves) would show.
 """
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import random
 import sys
 import threading
@@ -40,6 +44,7 @@ from conftest import random_molecule
 from pastekit import (
     Atom,
     Complex,
+    KOrder,
     MINUS,
     Molecule,
     PLUS,
@@ -52,11 +57,15 @@ from pastekit import (
     certificate_ok,
     compos,
     enumerate_molecules,
+    expr_normalize,
     frame_acyclic,
+    frame_decomposition,
     frame_dimension,
     globe,
     gray_product,
     globe_molecule,
+    interpret,
+    interpret_atom_in_context,
     interval_chain,
     k_order,
     maxd,
@@ -69,11 +78,11 @@ from pastekit import (
 )
 from pastekit.molecules import _glue, _mismatch, _paste_all, _rename, unique_iso, whole
 from pastekit.ogp import ElementReport, ValidationReport, _lex_topo
-from pastekit.orders import _find_cycle, _frame_graph, _frame_loops
+from pastekit.orders import _find_cycle, _frame_graph, _frame_loops, is_k_order
 from pastekit import serialize
-from pastekit.fixtures import fixture_files
+from pastekit.fixtures import fixture_files, frob
 from pastekit.render import _wire_sequence
-from pastekit.serialize import _dump, parse_complex, serialize_complex
+from pastekit.serialize import _dump, parse_complex, serialize_complex, serialize_expr
 
 SIGNS = (MINUS, PLUS)
 
@@ -321,6 +330,44 @@ def test_frame_order_and_k_order_match_lex_topo_over_the_frame_graph(enumerated)
                 order = k_order(u, k)
                 assert (None if order is None else list(order.sequence)) == want
                 outcomes.add(want is None)
+    assert outcomes == {True, False}
+
+
+def ref_is_k_order(u: Molecule, k: int, sequence) -> bool:
+    """Whether ``sequence`` lists the high cells of the level-k frame graph,
+    none of them reaching a cell listed before it."""
+    g = maxd(u.complex, u.members, k)
+    if sorted(sequence) != sorted(g.high):
+        return False
+    pos = {x: i for i, x in enumerate(sequence)}
+    for x in g.high:
+        for y in g.reachable(x):
+            if y in pos and pos[y] < pos[x]:
+                return False
+    return True
+
+
+def _orders(rng: random.Random, cells: list[str], count: int) -> list[tuple[str, ...]]:
+    """Every order of ``cells`` when there are at most ``count``, else ``count`` shuffles,
+    and ``cells`` with its last cell dropped or repeated."""
+    if math.factorial(len(cells)) <= count:
+        orders = list(itertools.permutations(cells))
+    else:
+        orders = [tuple(rng.sample(cells, len(cells))) for _ in range(count)]
+    return orders + [tuple(cells[:-1]), tuple(cells + cells[-1:])]
+
+
+def test_is_k_order_matches_reachability_in_the_frame_graph(enumerated):
+    rng = random.Random(0x0D3)
+    outcomes = set()
+    for cx, found, _ in enumerated:
+        for u in found[::3]:  # about 21,000 orders, 3,800 of them k-orders
+            for k in range(u.dim):
+                cells = sorted(maxd(cx, u.members, k).high)
+                for seq in _orders(rng, cells, 24):
+                    want = ref_is_k_order(u, k, seq)
+                    assert is_k_order(u, k, seq) == want, (cx.name, sorted(u.members), k, seq)
+                    outcomes.add(want)
     assert outcomes == {True, False}
 
 
@@ -578,16 +625,10 @@ def _recognize_and_validate(cx: Complex, sets: list[frozenset[str]]) -> tuple:
     return [_found(recognize(cx, m)) for m in sets], validate_complex(cx)
 
 
-def test_threads_sharing_a_complex_get_the_single_threaded_results():
-    shared = gray_product(globe(2), globe(2))
-    sets = sorted(_closed_sets(shared, ref_enumerate(shared)[0]), key=sorted)
-    want = _recognize_and_validate(shared.relabel({}), sets)
-    results: list[tuple] = []
-
-    def work() -> None:
-        results.append(_recognize_and_validate(shared, sets))
-
-    threads = [threading.Thread(target=work) for _ in range(4)]
+def _in_four_threads(work) -> list:
+    """The results of ``work()`` run in four threads at once."""
+    results = []
+    threads = [threading.Thread(target=lambda: results.append(work())) for _ in range(4)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, mid-search
     try:
@@ -598,7 +639,14 @@ def test_threads_sharing_a_complex_get_the_single_threaded_results():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert results == [want] * 4
+    return results
+
+
+def test_threads_sharing_a_complex_get_the_single_threaded_results():
+    shared = gray_product(globe(2), globe(2))
+    sets = sorted(_closed_sets(shared, ref_enumerate(shared)[0]), key=sorted)
+    want = _recognize_and_validate(shared.relabel({}), sets)
+    assert _in_four_threads(lambda: _recognize_and_validate(shared, sets)) == [want] * 4
 
 
 class _FilledMeanwhile(dict):
@@ -633,6 +681,32 @@ def test_a_memo_entry_stored_between_lookups_is_not_sent_into_a_new_search():
     want, _ = _recognize_and_validate(fresh, sets)
     cx._index().recognized = _FilledMeanwhile(fresh._index().recognized)
     assert [_found(recognize(cx, m)) for m in sets] == want
+
+
+def _frob_exprs(F, cx: Complex) -> list[bytes]:
+    """`serialize_expr` of frob's interpretations in ``cx`` along both 2-orders,
+    of its first factor in two contexts, and of the normal forms of all four."""
+    u = recognize(cx, F.molecule.members)
+    v1, _ = frame_decomposition(u, 2, k_order(u, 2))
+    exprs = [interpret(u, KOrder(2, order)) for order in ((F["phi"], F["psi"]), (F["psi"], F["phi"]))]
+    exprs += [interpret_atom_in_context(v1, c) for c in ((F["x"], F["y"], F["phi"]), (F["x"], F["phi"], F["y"]))]
+    exprs += [expr_normalize(e) for e in exprs]
+    return [serialize_expr(e) for e in exprs]
+
+
+def test_a_filled_precedence_memo_gives_the_results_of_a_fresh_index():
+    F = frob()
+    cx = F.molecule.complex
+    _frob_exprs(F, cx)
+    assert len(cx._index().precedence) > 1
+    assert _frob_exprs(F, cx) == _frob_exprs(F, cx.relabel({}))
+
+
+def test_threads_sharing_a_complex_get_the_single_threaded_expressions():
+    F = frob()
+    shared = F.molecule.complex
+    want = _frob_exprs(F, shared.relabel({}))
+    assert _in_four_threads(lambda: _frob_exprs(F, shared)) == [want] * 4
 
 
 def ref_spherical(cx: Complex, m: frozenset[str]) -> bool:
