@@ -75,12 +75,6 @@ def cmd_boundary(args) -> int:
     return 0
 
 
-class SystemExitWith(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-
-
 def cmd_paste(args) -> int:
     a, _ = _load_complex(args.left)
     b, _ = _load_complex(args.right)
@@ -94,12 +88,10 @@ def cmd_atom(args) -> int:
         cx = mol.globe(args.n)
     elif kind == "interval":
         cx = mol.interval_chain(args.n).as_complex(f"I{args.n}")
-    elif kind == "ucell":
-        if args.m is None:
-            raise SystemExitWith(USAGE_ERROR, "ucell needs two arities")
+    elif args.m is None:  # "ucell", the last of argparse's choices
+        raise ParseError("ucell needs two arities")
+    else:
         cx = mol.u_cell(args.n, args.m).as_complex(f"U{args.n}_{args.m}")
-    else:  # pragma: no cover - argparse restricts choices
-        raise SystemExitWith(USAGE_ERROR, f"unknown atom kind {kind}")
     _emit(serialize_complex(cx))
     return 0
 
@@ -156,16 +148,12 @@ def cmd_maxd(args) -> int:
 
 
 def cmd_export(args) -> int:
-    raw = _read(args.file)
+    cx, extra = _load_complex(args.file)
     if args.format == "dot":
-        cx, _ = _load_complex(args.file)
         _emit(export_dot(cx))
         return 0
-    try:
-        lc = parse_labelled(raw)
-    except ParseError:
-        cx, _ = parse_complex(raw)
-        lc = LabelledComplex(cx, {x: x for x in cx.elements()})
+    labels = extra.get("labels")
+    lc = LabelledComplex(cx, {x: x for x in cx.elements()} if labels is None else dict(labels))
     _emit(export_svg_2diagram(lc))
     return 0
 
@@ -268,9 +256,6 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except SystemExitWith as exc:
-        print(str(exc), file=sys.stderr)
-        return exc.code
     except (ParseError, StructureError) as exc:
         print(str(exc), file=sys.stderr)
         return USAGE_ERROR

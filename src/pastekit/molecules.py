@@ -177,11 +177,14 @@ def _fingerprints(cx: Complex, members: frozenset[str]) -> dict[str, tuple]:
     """
     fp = {x: (cx.dim_of(x),) for x in members}
     while True:
-        nxt = {}
+        down: dict[str, list] = {x: [] for x in members}
+        up: dict[str, list] = {x: [] for x in members}
         for x in members:
-            down = sorted((s, fp[t]) for t, s in cx.covers(x) if t in members)
-            up = sorted((s, fp[y]) for y, s in cx.cofaces(x) if y in members)
-            nxt[x] = (fp[x], tuple(down), tuple(up))
+            for t, s in cx.covers(x):
+                if t in members:
+                    down[x].append((s, fp[t]))
+                    up[t].append((s, fp[x]))
+        nxt = {x: (fp[x], tuple(sorted(down[x])), tuple(sorted(up[x]))) for x in members}
         # re-encode to keep the tuples from growing without bound
         codes = {v: i for i, v in enumerate(sorted(set(nxt.values())))}
         if len(codes) == len(set(fp.values())):
@@ -210,21 +213,21 @@ def unique_iso(
     by_fp: dict[tuple, list[str]] = {}
     for y in sorted(b):
         by_fp.setdefault(fpb[y], []).append(y)
-    # match from the top dimension down, so each element's cofaces are
-    # matched before it
-    order = sorted(a, key=lambda x: (-acx.dim_of(x), x))
+    # match from the bottom dimension up, in (dim, id) order, so each
+    # element's covers are matched before it
+    order = sorted(a, key=lambda x: (acx.dim_of(x), x))
     fwd: dict[str, str] = {}
     used: set[str] = set()
     found: list[dict[str, str]] = []
 
     def images(i: int) -> Iterator[str]:
-        """The unused images of ``order[i]`` with its signed cofaces under
+        """The unused images of ``order[i]`` with its signed covers under
         ``fwd``; a generator, so it reads ``fwd`` when first drawn from."""
         x = order[i]
-        # every signed cover is verified once, when its lower element is matched
-        up = {(fwd[z], s) for z, s in acx.cofaces(x) if z in a}
+        # every signed cover is verified once, when its upper element is matched
+        down = {(fwd[t], s) for t, s in acx.covers(x) if t in a}
         for y in by_fp.get(fpa[x], ()):
-            if y not in used and up == {(z, s) for z, s in bcx.cofaces(y) if z in b}:
+            if y not in used and down == {(t, s) for t, s in bcx.covers(y) if t in b}:
                 yield y
 
     # depth-first over an explicit stack: trials[i] draws the images of

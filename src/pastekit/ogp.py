@@ -71,7 +71,10 @@ class _Index:
     ``i`` marks element ``ids[i]``, and ``rank[i]`` is the place of ``ids[i]``
     in sorted-id order.  Each element has a downset mask (its closure), a
     cover mask, and one coface mask per sign; each cell's sides in the frame
-    graphs of each level are cached here as masks.
+    graphs of each level are cached here as masks.  The index is built from
+    the complex's checked table of dimensions and covers alone, and it holds
+    the only copy of the coface relation and of the per-dimension lists, which
+    ``Complex.cofaces`` and ``Complex.by_dim`` read.
 
     The complex is immutable, so what is found about it is a pure function
     of this index and is kept here: ``recognized`` maps each closed mask
@@ -88,25 +91,26 @@ class _Index:
     )
 
     def __init__(self, cx: "Complex"):
-        ids = tuple(x for d in range(cx.dim + 1) for x in cx.by_dim(d))
+        ids = tuple(sorted(cx._ids, key=cx._dim.__getitem__))  # stable: (dim, id)
         pos = {x: i for i, x in enumerate(ids)}
         self.name = cx.name
         self.ids = ids
         self.pos = pos
         self.rank = [0] * len(ids)
-        for r, x in enumerate(cx.elements()):  # sorted by id
+        for r, x in enumerate(cx._ids):  # sorted by id
             self.rank[pos[x]] = r
-        self.dims = [cx.dim_of(x) for x in ids]
-        # lower[d] masks the elements of dimension < d, for 0 <= d <= dim + 1
-        self.lower = [0]
-        for d in range(cx.dim + 1):
-            self.lower.append((1 << (self.lower[-1].bit_length() + len(cx.by_dim(d)))) - 1)
+        self.dims = [cx._dim[x] for x in ids]
+        # lower[d] masks the elements of dimension < d, for 0 <= d <= dim + 1;
+        # grading leaves no dimension empty below the top
+        self.lower = [0] * (cx.dim + 2)
+        for i, d in enumerate(self.dims):
+            self.lower[d + 1] = (2 << i) - 1
         self.down: list[int] = []
         self.cover: list[int] = []
         self.cofaces = {MINUS: [0] * len(ids), PLUS: [0] * len(ids)}
         for i, x in enumerate(ids):
             cover = down = 0
-            for t, sign in cx.covers(x):
+            for t, sign in cx._covers[x]:
                 j = pos[t]
                 cover |= 1 << j
                 down |= self.down[j]
@@ -302,21 +306,21 @@ class Complex:
       of dimension 0 covers none;
     * no element covers the same target twice (no parallel Hasse edges).
 
-    Instances are immutable after construction and safe to share.  On first
-    use a complex builds an integer index: its elements numbered in
-    (dim, id) order, subsets held as ``int`` bitmasks, and each element's
-    downset, cover and signed coface masks.  Closures, boundaries, source
-    sets, maximal elements and closedness are mask arithmetic on that index,
-    behind signatures that take and return ``frozenset`` ids.  The index
+    Instances are immutable after construction and safe to share.  A
+    complex keeps only the checked table: each element's dimension and
+    covers.  On first use it builds an integer index: its elements numbered
+    in (dim, id) order, subsets held as ``int`` bitmasks, and each element's
+    downset, cover and signed coface masks.  ``cofaces`` and ``by_dim`` are
+    read from that index.  Closures, boundaries, source sets, maximal
+    elements and closedness are mask arithmetic on it, behind signatures
+    that take and return ``frozenset`` ids.  The index
     also caches each cell's input and output boundaries off its rim, which
     frame graphs are built from, the result of each finished recognition
     search, `validate_complex`'s checks and graycat's precedences; that only
     saves recomputation, and there is no other cache.
     """
 
-    __slots__ = (
-        "name", "_dim", "_covers", "_cofaces", "_ids", "_by_dim", "_top_dim", "_ix"
-    )
+    __slots__ = ("name", "_dim", "_covers", "_ids", "_top_dim", "_ix")
 
     def __init__(self, name: str, elements: Mapping[str, tuple[int, Iterable[tuple[str, str]]]]):
         self.name = name
@@ -328,7 +332,6 @@ class Complex:
                 raise StructureError(f"{name}: element {eid!r} has negative dimension")
             dims[eid] = dim
             covers[eid] = tuple(cov)
-        cofaces: dict[str, list[tuple[str, str]]] = {eid: [] for eid in dims}
         for eid, cov in covers.items():
             seen: set[str] = set()
             for tgt, sign in cov:
@@ -344,18 +347,12 @@ class Complex:
                         f"{name}: grading broken on {eid!r} -> {tgt!r} "
                         f"(dims {dims[eid]} -> {dims[tgt]})"
                     )
-                cofaces[tgt].append((eid, sign))
             if dims[eid] >= 1 and not cov:
                 raise StructureError(f"{name}: element {eid!r} of dimension {dims[eid]} covers nothing")
         self._dim = dims
         self._covers = covers
-        self._cofaces = {eid: tuple(sorted(cf)) for eid, cf in cofaces.items()}
-        self._ids = tuple(sorted(dims))
-        by_dim: dict[int, list[str]] = {}
-        for eid in self._ids:
-            by_dim.setdefault(dims[eid], []).append(eid)
-        self._by_dim = {d: tuple(v) for d, v in by_dim.items()}
-        self._top_dim = max(by_dim) if by_dim else -1
+        self._ids = tuple(dims)  # filled in sorted-id order
+        self._top_dim = max(dims.values(), default=-1)
         self._ix: _Index | None = None
 
     # -- basic queries ----------------------------------------------------
@@ -387,11 +384,15 @@ class Complex:
         return self._covers[eid]
 
     def cofaces(self, eid: str) -> tuple[tuple[str, str], ...]:
-        """Signed elements covering ``eid`` (one dimension up)."""
-        return self._cofaces[eid]
+        """Signed elements covering ``eid`` (one dimension up), read from the index."""
+        ix = self._index()
+        i = ix.pos[eid]
+        return tuple(sorted((y, s) for s in SIGNS for y in ix.members(ix.cofaces[s][i])))
 
     def by_dim(self, n: int) -> tuple[str, ...]:
-        return self._by_dim.get(n, ())
+        """The elements of dimension ``n`` in id order, read from the index."""
+        ix = self._index()
+        return ix.ids[ix.below(n).bit_length() : ix.below(n + 1).bit_length()]
 
     def dim_of_subset(self, members: Iterable[str]) -> int:
         """Greatest element dimension in ``members``, -1 when empty."""

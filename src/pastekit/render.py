@@ -103,7 +103,6 @@ def export_svg_2diagram(
     def wx(i: int) -> int:
         return pad + xstep // 2 + i * xstep
 
-    y = pad
     for level, (cell, pos, n_in, n_out) in enumerate(placements):
         y0 = pad + level * ystep
         y1 = y0 + ystep
@@ -131,7 +130,6 @@ def export_svg_2diagram(
                 f'<text x="{cx_mid + 8}" y="{(y0 + y1) // 2 + 4}" font-size="12">'
                 f"{names.get(label, label)}</text>"
             )
-        y = y1
     if not placements:
         for i, w in enumerate(layers[0]):
             dash = ' stroke-dasharray="4 3"' if lc.labels[w] == BASEPOINT else ""

@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from pastekit import Complex, globe, interval_chain, paste, u_cell, validate_complex
-from pastekit import cli, interpret
+from pastekit import Complex, globe, gray_labelled, interval_chain, paste, u_cell, validate_complex
+from pastekit import cli, interpret, serialize
 from pastekit.cli import main
 from pastekit.fixtures import fixture_files, frob, power
 from pastekit.graycat import ExpressionError
@@ -367,6 +367,29 @@ def test_cli_atom_and_compos(fixture_dir, capsys, tmp_path):
     assert len(json.loads(capsys.readouterr().out)["elements"]) == 9
 
 
+def test_cli_atom_ucell_needs_two_arities(capsys):
+    assert main(["atom", "ucell", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ucell needs two arities\n"
+
+
+def test_cli_atom_globe_and_interval(capsysbinary):
+    assert main(["atom", "globe", "2"]) == 0
+    assert capsysbinary.readouterr().out == serialize_complex(globe(2))
+    assert main(["atom", "interval", "3"]) == 0
+    assert capsysbinary.readouterr().out == serialize_complex(interval_chain(3).as_complex("I3"))
+
+
+def test_cli_boundary_writes_the_boundary_as_a_complex(fixture_dir, capsysbinary):
+    path = fixture_dir / "u21.json"
+    assert main(["boundary", str(path), "-n", "1", "-s", "+"]) == 0
+    cx, _ = parse_complex(path.read_bytes())
+    wire = cx.restrict(cx.boundary(cx.whole(), 1, "+"), f"{cx.name}.bd1+")
+    assert capsysbinary.readouterr().out == serialize_complex(wire)
+    assert len(wire) == 3
+
+
 @pytest.mark.parametrize("n, m", [(0, 2), (2, 0)])
 def test_u_cell_names_its_own_arities(n, m, capsys):
     message = f"u-cells need at least one input and one output wire, not ({n}, {m})"
@@ -416,6 +439,41 @@ def test_cli_gray_and_smash(fixture_dir, capsys, tmp_path):
     doc = json.loads(capsys.readouterr().out)
     kept = [k for k, v in doc["labels"].items() if v != BASEPOINT]
     assert kept == ["1⊗1"]
+
+
+def test_cli_gray_labelled(tmp_path, capsysbinary):
+    a = LabelledComplex(globe(1), {"0-": BASEPOINT, "0+": BASEPOINT, "1": "a"})
+    b = LabelledComplex(globe(1), {"0-": "p", "0+": "q", "1": "b"})
+    for name, lc in (("a.json", a), ("b.json", b)):
+        (tmp_path / name).write_bytes(serialize_labelled(lc))
+    assert main(["gray", "--labelled", str(tmp_path / "a.json"), str(tmp_path / "b.json")]) == 0
+    assert capsysbinary.readouterr().out == serialize_labelled(gray_labelled(a, b))
+
+
+@pytest.mark.parametrize("fmt", ["dot", "svg"])
+@pytest.mark.parametrize("labelled", [False, True])
+def test_cli_export_reads_and_parses_its_file_once(fixture_dir, tmp_path, monkeypatch, capsysbinary, fmt, labelled):
+    cx, _ = parse_complex((fixture_dir / "u21.json").read_bytes())
+    labels = {x: "m" if cx.dim_of(x) == 2 else x for x in cx.elements()}
+    path = tmp_path / "u21.json"
+    path.write_bytes(serialize_labelled(LabelledComplex(cx, labels)) if labelled else serialize_complex(cx))
+    counts = {"read": 0, "load": 0}
+
+    def counted(key, f):
+        def wrapped(*args):
+            counts[key] += 1
+            return f(*args)
+        return wrapped
+
+    monkeypatch.setattr(cli, "_read", counted("read", cli._read))
+    monkeypatch.setattr(serialize, "_load", counted("load", serialize._load))
+    assert main(["export", str(path), "--format", fmt]) == 0
+    if fmt == "dot":
+        want = export_dot(cx)
+    else:
+        want = export_svg_2diagram(LabelledComplex(cx, labels if labelled else {x: x for x in cx.elements()}))
+    assert capsysbinary.readouterr().out == want.encode("utf-8")
+    assert counts == {"read": 1, "load": 1}
 
 
 def test_cli_maxd_and_export(fixture_dir, capsys):
@@ -569,6 +627,14 @@ def test_cli_fixtures_lists(capsys):
     assert main(["fixtures"]) == 0
     names = capsys.readouterr().out.split()
     assert "frob.json" in names and "power.json" in names
+
+
+def test_cli_fixtures_writes_the_fixture_files(tmp_path, capsys):
+    out = tmp_path / "fixtures"
+    assert main(["fixtures", "--out", str(out)]) == 0
+    files = fixture_files()
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == files
+    assert capsys.readouterr().out.splitlines() == [f"wrote {out / name}" for name in files]
 
 
 def test_readme_file_format_example_is_the_o1_fixture():

@@ -2,13 +2,18 @@
 
 Each reference recomputes from the covers on every call, the way the
 library did before it kept per-element facts: a cover-walking closure, a
-coface test for maximal elements, a boundary built per level and sign, the
+cover test for maximal elements, a boundary built per level and sign, the
 pairwise frame dimension, the level-n frame graph from per-call atom
 boundaries, a heap-free Kahn loop (`ref_lex_topo`, which also checks the
 library's one sort `_lex_topo`) over that graph's ids for the order of its
 high cells, and an enumeration that recomputes every boundary of a member
 set when it is added and again when it is popped.  `is_k_order` is
 checked against reachability in the frame graph (`ref_is_k_order`).
+`Complex.cofaces` and `Complex.by_dim` read the index, so they are checked
+against a walk of the covers.  `unique_iso` matches elements bottom-up
+through their covers; `ref_unique_iso` keeps the top-down search through
+cofaces, and the two must agree on the map, ``None`` or the "not unique"
+error.
 Recognition, validation and graycat's precedences are remembered by each
 complex, so they are also checked on a complex whose memo is already full,
 on complexes derived from it, and on one complex shared by several
@@ -34,6 +39,7 @@ import math
 import random
 import sys
 import threading
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings
@@ -99,17 +105,15 @@ def ref_closure(cx: Complex, members) -> frozenset[str]:
 
 
 def ref_maximal(cx: Complex, members) -> frozenset[str]:
-    return frozenset(x for x in members if not any(y in members for y, _ in cx.cofaces(x)))
+    covered = {t for y in members for t, _ in cx.covers(y)}
+    return frozenset(x for x in members if x not in covered)
 
 
 def ref_boundary(cx: Complex, members: frozenset[str], n: int, sign: str) -> frozenset[str]:
     if n < 0:
         return frozenset()
-    source = [
-        x
-        for x in members
-        if cx.dim_of(x) == n and all(s == sign for y, s in cx.cofaces(x) if y in members)
-    ]
+    against = {t for y in members for t, s in cx.covers(y) if s != sign}
+    source = [x for x in members if cx.dim_of(x) == n and x not in against]
     high = [x for x in members if cx.dim_of(x) > n]
     return ref_closure(cx, source) | (members - ref_closure(cx, high))
 
@@ -509,6 +513,144 @@ def test_masks_and_ids_round_trip():
         for _ in range(20):
             m = rng.getrandbits(len(cx))
             assert ix.mask(ix.members(m)) == m
+
+
+def ref_fingerprints(cx: Complex, members: frozenset[str]) -> dict[str, tuple]:
+    """`_fingerprints` with each member's up codes read from its cofaces."""
+    fp = {x: (cx.dim_of(x),) for x in members}
+    while True:
+        nxt = {}
+        for x in members:
+            down = sorted((s, fp[t]) for t, s in cx.covers(x) if t in members)
+            up = sorted((s, fp[y]) for y, s in cx.cofaces(x) if y in members)
+            nxt[x] = (fp[x], tuple(down), tuple(up))
+        # re-encode to keep the tuples from growing without bound
+        codes = {v: i for i, v in enumerate(sorted(set(nxt.values())))}
+        if len(codes) == len(set(fp.values())):
+            return fp
+        fp = {x: (cx.dim_of(x), codes[nxt[x]]) for x in members}
+
+
+def ref_unique_iso(
+    u: Molecule | tuple[Complex, frozenset[str]],
+    v: Molecule | tuple[Complex, frozenset[str]],
+) -> dict[str, str] | None:
+    """`unique_iso` as a search from the top dimension down, each candidate
+    checked by its signed cofaces inside the subset."""
+    acx, a = (u.complex, u.members) if isinstance(u, Molecule) else u
+    bcx, b = (v.complex, v.members) if isinstance(v, Molecule) else v
+    if len(a) != len(b):
+        return None
+    fpa = ref_fingerprints(acx, a)
+    fpb = ref_fingerprints(bcx, b)
+    if sorted(fpa.values()) != sorted(fpb.values()):
+        return None
+    by_fp: dict[tuple, list[str]] = {}
+    for y in sorted(b):
+        by_fp.setdefault(fpb[y], []).append(y)
+    # match from the top dimension down, so each element's cofaces are
+    # matched before it
+    order = sorted(a, key=lambda x: (-acx.dim_of(x), x))
+    fwd: dict[str, str] = {}
+    used: set[str] = set()
+    found: list[dict[str, str]] = []
+
+    def images(i: int) -> Iterator[str]:
+        """The unused images of ``order[i]`` with its signed cofaces under
+        ``fwd``; a generator, so it reads ``fwd`` when first drawn from."""
+        x = order[i]
+        # every signed cover is verified once, when its lower element is matched
+        up = {(fwd[z], s) for z, s in acx.cofaces(x) if z in a}
+        for y in by_fp.get(fpa[x], ()):
+            if y not in used and up == {(z, s) for z, s in bcx.cofaces(y) if z in b}:
+                yield y
+
+    # depth-first over an explicit stack: trials[i] draws the images of
+    # order[i], and fwd matches exactly order[:i] when it is drawn from
+    trials = [images(0)]
+    while trials and len(found) < 2:
+        i = len(trials) - 1
+        if i == len(order):
+            found.append(dict(fwd))
+            trials.pop()
+            continue
+        if order[i] in fwd:
+            used.discard(fwd.pop(order[i]))
+        y = next(trials[i], None)
+        if y is None:
+            trials.pop()
+        else:
+            fwd[order[i]] = y
+            used.add(y)
+            trials.append(images(i + 1))
+    if not found:
+        return None
+    if len(found) > 1:
+        raise RuntimeError(
+            f"molecule isomorphism is not unique between {acx.name} and {bcx.name}; "
+            "inputs are not regular molecules"
+        )
+    return found[0]
+
+def _iso_outcome(f, u, v):
+    """The map or ``None`` that ``f`` returns, or its ``RuntimeError``'s message."""
+    try:
+        return f(u, v)
+    except RuntimeError as exc:
+        return str(exc)
+
+
+def _iso_sets(cx: Complex) -> list[frozenset[str]]:
+    """The whole complex and each of its k-boundaries."""
+    whole = cx.whole()
+    return [whole, *(cx.boundary(whole, k, s) for k in range(cx.dim) for s in SIGNS)]
+
+
+def test_cofaces_and_by_dim_match_the_cover_walk():
+    for cx in [*COMPLEXES, Complex("empty", {})]:
+        up: dict[str, list[tuple[str, str]]] = {x: [] for x in cx.elements()}
+        for y in cx.elements():
+            for t, s in cx.covers(y):
+                up[t].append((y, s))
+        for x in cx.elements():
+            assert cx.cofaces(x) == tuple(sorted(up[x]))
+        for n in range(-1, cx.dim + 3):
+            assert cx.by_dim(n) == tuple(x for x in cx.elements() if cx.dim_of(x) == n)
+
+
+def _cycles(*lengths: int) -> Complex:
+    """Disjoint directed cycles of arrows; all of them get equal fingerprints."""
+    table: dict = {}
+    for c, n in enumerate(lengths):
+        for i in range(n):
+            table[f"{c}.{i}"] = (0, [])
+            table[f"{c}.{i}a"] = (1, [(f"{c}.{i}", MINUS), (f"{c}.{(i + 1) % n}", PLUS)])
+    return Complex("+".join(map(str, lengths)), table)
+
+
+def test_unique_iso_matches_the_top_down_search():
+    rng = random.Random(0x150)
+    seen = {"map": 0, "none": 0, "not unique": 0}
+    arrow = [("0-", MINUS), ("0+", PLUS)]
+    parallel = Complex("parallel", {"0-": (0, []), "0+": (0, []), "a": (1, arrow), "b": (1, arrow)})
+    # a 6-cycle and two 3-cycles: only the search tells them apart
+    loops = [(cx, cx.whole()) for cx in (parallel, _cycles(6), _cycles(3, 3))]
+    pairs = list(itertools.product(loops, repeat=2))
+    for cx in COMPLEXES:
+        # ids renamed in a shuffled order, so the search meets the elements in another order
+        shuffled = rng.sample(cx.elements(), len(cx))
+        renamed = {x: f"n{i:02d}" for i, x in enumerate(shuffled)}
+        relabelled = cx.relabel(renamed)
+        mine = _iso_sets(cx)
+        pairs += [((cx, m), (relabelled, frozenset(renamed[x] for x in m))) for m in mine]
+        for other in (cx, cx.dual(), flip_one_sign(cx, rng)):
+            pairs += [((cx, m), (other, n)) for m in mine for n in _iso_sets(other)]
+    for u, v in pairs:
+        got = _iso_outcome(unique_iso, u, v)
+        assert got == _iso_outcome(ref_unique_iso, u, v)
+        seen["map" if isinstance(got, dict) else "none" if got is None else "not unique"] += 1
+    assert all(seen.values()), seen
+
 
 
 def ref_recognize(cx: Complex, members: frozenset[str], memo: dict | None = None):

@@ -23,7 +23,7 @@ from pastekit import (
     wire_permutation,
 )
 from pastekit.serialize import parse_presentation, serialize_presentation
-from pastekit.theories import Braid, BraidInv, Layered2Cell, Slice
+from pastekit.theories import Braid, BraidInv, Layered2Cell, Slice, pro_dual
 
 
 perms = st.integers(1, 8).flatmap(
@@ -209,6 +209,16 @@ def test_prop_quotient_with_tensor_context():
     blob = serialize_presentation(sym)
     assert serialize_presentation(parse_presentation(blob)) == blob
     assert prop_quotient(sym, tensor_of_props=(mon, mon)) == sym
+
+
+def test_pro_dual_of_a_braided_theory():
+    mon, comon = builtin("Mon"), builtin("coMon")
+    q = prop_quotient(tensor_pros(mon, comon), (mon, comon))
+    ops = {type(s.op) for r in q.relations for c in (r.lhs, r.rhs) for s in c.slices}
+    assert {Braid, BraidInv} <= ops
+    dual = pro_dual(q)
+    dual.check_relations()
+    assert pro_dual(dual).relations == q.relations
 
 
 def test_prop_quotient_needs_braiding():
