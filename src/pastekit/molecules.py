@@ -8,7 +8,8 @@ atom's top, the union of a pasting's halves).  Constructors (`globe`,
 `paste`, `cell_to`, `compos`, `substitute`) build certificates as they go;
 `recognize` rebuilds one from a bare closed subset by exhaustive split
 search (complete up to dimension 3) on the complex's bitmask index, one
-search per subset on an explicit stack, so its depth does not grow.
+search per subset on an explicit stack, so its depth does not grow; a
+1-dimensional path of arrows is read off in one walk instead.
 
 Pasting has one path: `_paste_all` pastes a whole sequence at one level
 in a single element table, giving every element the id that folding
@@ -535,8 +536,11 @@ def recognize(cx: Complex, members: frozenset[str]):
     Returns a handle, ``None`` when the subset is certainly not a molecule,
     or ``UNKNOWN`` when the search is exhausted above dimension 3 (where
     failure is inconclusive).  Complete for subsets of dimension <= 3 in a
-    complex whose cells are themselves well-formed.  The complex remembers
-    the result for every subset searched, and later calls read it back.
+    complex whose cells are themselves well-formed.  A 1-dimensional subset
+    that is a single path of arrows is not searched: its certificate pastes
+    the arrows at level 0, nested to the right in path order, which is what
+    the search would find.  The complex remembers the result for every
+    subset searched, and later calls read it back.
     """
     ix = cx._index()
     root = ix.mask(members)
@@ -586,11 +590,23 @@ def _split_search(ix: _Index, m: int) -> Generator[int, _Found, _Found]:
     """`recognize`'s search on a nonempty closed mask: at each level k from the
     frame dimension up, each cut i of the frame order of the high cells is
     tried twice (the cells from i on with the output k-boundary, then the
-    cells before i with the input k-boundary, each against the rest)."""
+    cells before i with the input k-boundary, each against the rest).
+
+    A 1-dimensional mask that is a path (`_Index.path`) is not searched.  On
+    a path the first cut always splits (level 0, cut 1, from the tail), so
+    the search would find the arrows pasted at level 0 and nested to the
+    right in path order; that certificate is built directly, and the
+    suffixes are neither searched nor remembered."""
     maximal = ix.maximal(m)
     if not maximal & (maximal - 1):
         return Atom(ix.ids[maximal.bit_length() - 1])
     n = ix.dim(m)
+    arrows = ix.path(m) if n == 1 else None
+    if arrows is not None:
+        cert = Atom(ix.ids[arrows[-1]])
+        for a in reversed(arrows[:-1]):
+            cert = Pasting(0, Atom(ix.ids[a]), cert)
+        return cert
     inconclusive = n >= 4
     for k in range(max(ix.frame_dimension(maximal), 0), n):
         tail = maximal & ~ix.below(k + 1)

@@ -74,7 +74,10 @@ class _Index:
     graphs of each level are cached here as masks.  The index is built from
     the complex's checked table of dimensions and covers alone, and it holds
     the only copy of the coface relation and of the per-dimension lists, which
-    ``Complex.cofaces`` and ``Complex.by_dim`` read.
+    ``Complex.cofaces`` and ``Complex.by_dim`` read.  ``path`` walks a
+    1-dimensional mask from its start point and returns its arrows in path
+    order, or None when the mask is not a single path; recognition and the
+    SVG wire layers both read it.
 
     The complex is immutable, so what is found about it is a pure function
     of this index and is kept here: ``recognized`` maps each closed mask
@@ -283,6 +286,38 @@ class _Index:
             succ[r] = self.ranks(out & entered)
         order = _lex_topo(succ)
         return None if order is None else [high[r] for r in order if r in high]
+
+    def path(self, m: int) -> list[int] | None:
+        """The arrows of a closed mask of dimension <= 1 in path order, or None
+        when it is not a path.
+
+        A path starts at its one point that is no arrow's output, and points
+        and arrows alternate from there: each arrow covers exactly one input
+        and one distinct output point, and every member is visited once.  A
+        single point is the path with no arrows.
+        """
+        if self.dim(m) not in (0, 1):
+            return None
+        start = self.sources(m, 0)[0]  # points that are no member's output
+        if not start or start & (start - 1):
+            return None
+        into, cover = self.cofaces[MINUS], self.cover
+        at = start.bit_length() - 1
+        seen = start
+        arrows = []
+        while True:
+            step = into[at] & m  # the arrows leaving the point reached
+            if not step:
+                return arrows if seen == m else None
+            a = step.bit_length() - 1
+            end = cover[a] & ~(1 << at)  # the arrow's other points
+            # an arrow whose other point is an input too leaves that point as
+            # well, so the next step finds it again and meets a seen point
+            if step & (step - 1) or not end or end & (end - 1) or end & seen:
+                return None
+            arrows.append(a)
+            seen |= step | end
+            at = end.bit_length() - 1
 
     def spherical(self, m: int) -> bool:
         """`spherical_boundary` of a mask."""

@@ -3,7 +3,7 @@
 DOT output ranks elements by dimension and draws the oriented Hasse graph
 (input-labelled edges reversed).  The SVG exporter lays a diagram of
 dimension <= 2 out slice by slice in its canonical cell order, each wire
-layer in the topological order of its Hasse graph (`totally_loop_free`);
+layer in path order, walked from its start point (`_Index.path`);
 dashed wires and nodeless cells mark basepoint labels.  Layout is
 best-effort; tests assert labels and connectivity, never pixels.
 """
@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from .ogp import Complex, MINUS, PLUS
-from .orders import MaxdGraph, normal_order_of_subset, totally_loop_free
+from .orders import MaxdGraph, normal_order_of_subset
 from .products import BASEPOINT, LabelledComplex
 
 
@@ -52,14 +52,15 @@ def export_dot_maxd(g: MaxdGraph, name: str = "maxd") -> str:
 
 
 def _wire_sequence(cx: Complex, wires: frozenset[str]) -> list[str]:
-    """The 1-cells of a 1-dimensional closed subset in path order: the total order of
-    its Hasse graph, if the only edges join neighbours and both ends are vertices."""
-    rep = totally_loop_free(cx, wires)
-    ones = [x for x in rep.order or () if cx.dim_of(x) == 1]
-    edges = sum(map(len, rep.adjacency.values()))
-    if rep.order is None or wires and not edges == len(wires) - 1 == 2 * len(ones):
+    """The 1-cells of a 1-dimensional closed subset in path order (`_Index.path`);
+    none for an empty layer."""
+    if not wires:
+        return []
+    ix = cx._index()
+    arrows = ix.path(ix.mask(wires))
+    if arrows is None:
         raise ValueError("wire layer is not a single path")
-    return ones
+    return [ix.ids[a] for a in arrows]
 
 
 def export_svg_2diagram(

@@ -21,10 +21,13 @@ threads.  Pasting has one path in the library, so `ref_paste` keeps the
 two-factor glue of separate ``left/`` and ``right/`` tables: `paste`, the
 fold of `paste` and `_paste_all` are checked against it and its left fold.
 The frame-loop test of frame acyclicity is checked against
-`_Index.frame_order`.  The canonical JSON writer `_dump` is checked against
-``json.dumps(indent=2)`` (`ref_dump`), json's own indenting encoder, on
-every document the golden tests write, the shipped fixtures and random
-JSON values.
+`_Index.frame_order`.  Recognition reads a 1-dimensional path off one walk
+(`_Index.path`), so it is checked against the split search with the walk
+switched off, and the boundaries of enumerated pastings against the rule
+that derives them from their halves.  The canonical JSON writer `_dump` is
+checked against ``json.dumps(indent=2)`` (`ref_dump`), json's own
+indenting encoder, on every document the golden tests write, the shipped
+fixtures and random JSON values.
 
 The complexes are random molecules, their duals, and copies with one cover
 sign flipped.  The flipped copies are usually not regular, which is where a
@@ -39,6 +42,7 @@ import math
 import random
 import sys
 import threading
+from collections import Counter
 from typing import Iterator
 
 import pytest
@@ -82,8 +86,8 @@ from pastekit import (
     u_cell,
     validate_complex,
 )
-from pastekit.molecules import _glue, _mismatch, _paste_all, _rename, unique_iso, whole
-from pastekit.ogp import ElementReport, ValidationReport, _lex_topo
+from pastekit.molecules import _fold, _glue, _mismatch, _paste_all, _rename, unique_iso, whole
+from pastekit.ogp import ElementReport, ValidationReport, _Index, _lex_topo
 from pastekit.orders import _find_cycle, _frame_graph, _frame_loops, is_k_order
 from pastekit import serialize
 from pastekit.fixtures import fixture_files, frob
@@ -964,6 +968,100 @@ def test_wire_sequence_matches_the_path_walk():
             _wire_sequence(cx, cx.whole())
 
 
+def _random_graph(rng: random.Random) -> Complex:
+    """A random 1-dimensional complex with shuffled ids.  Most arrows extend a
+    walk over the points, so many of its closed subsets are paths; the others
+    join any two points (parallel arrows, loops, disjoint pieces), have two
+    sources or two targets, or have no source or no target."""
+    points = rng.randint(1, 7)
+    walk = [rng.randrange(points)]
+    covers = []
+    for _ in range(rng.randint(1, 8)):
+        kind = rng.random()
+        if points == 1 or kind < 0.1:
+            covers.append([(rng.randrange(points), rng.choice(SIGNS))])
+            continue
+        a, b = rng.sample(range(points), 2)
+        if kind < 0.75:
+            fresh = [p for p in range(points) if p not in walk]
+            b = rng.choice(fresh) if fresh and rng.random() < 0.8 else rng.choice([p for p in range(points) if p != walk[-1]])
+            covers.append([(walk[-1], MINUS), (b, PLUS)])
+            walk.append(b)
+        elif kind < 0.85:
+            covers.append([(a, MINUS), (b, PLUS)])
+        else:
+            s = rng.choice(SIGNS)
+            covers.append([(a, s), (b, s)])
+    names = [f"{r:02d}" for r in rng.sample(range(100), points + len(covers))]
+    table = {names[p]: (0, []) for p in range(points)}
+    for i, cov in enumerate(covers):
+        table[names[points + i]] = (1, [(names[p], s) for p, s in cov])
+    return Complex("graph", table)
+
+
+def _shuffled_chain(rng: random.Random, n: int) -> Complex:
+    """The n-chain with its ids renamed at random, so that id order is not path order."""
+    cx = interval_chain(n).complex
+    names = [f"{r:04d}" for r in rng.sample(range(10_000), len(cx))]
+    return cx.relabel(dict(zip(cx.elements(), names)), name=f"chain{n}")
+
+
+def test_recognising_a_path_gives_the_certificate_of_the_split_search(monkeypatch):
+    rng = random.Random(0x9A7)
+    cases = []
+    for _ in range(400):
+        cx = _random_graph(rng)
+        ids = cx.elements()
+        sets = {cx.whole(), *(cx.closure(rng.sample(ids, rng.randint(1, min(4, len(ids))))) for _ in range(4))}
+        cases.append((cx, sorted(sets, key=sorted)))
+    for n in [*range(2, 30), 120]:
+        cx = _shuffled_chain(rng, n)
+        arrows = ref_wire_sequence(cx, cx.whole())
+        sets = {cx.whole()}
+        for _ in range(6):
+            i, j = sorted(rng.sample(range(n + 1), 2))
+            sets.add(cx.closure(arrows[i:j]))  # a run of arrows: a shorter path
+            if n < 16:  # the search takes seconds to refuse the pieces of a long chain
+                sets.add(cx.closure(rng.sample(arrows, rng.randint(1, n))))
+        cases.append((cx, sorted(sets, key=sorted)))
+    with monkeypatch.context() as patched:
+        patched.setattr(_Index, "path", lambda self, m: None)
+        searched = [[_found(recognize(cx.relabel({}), m)) for m in sets] for cx, sets in cases]
+    walked = [[_found(recognize(cx, m)) for m in sets] for cx, sets in cases]
+    assert walked == searched
+    seen = Counter()
+    for (cx, sets), results in zip(cases, walked):
+        ix = cx._index()
+        for m, got in zip(sets, results):
+            mask = ix.mask(m)
+            if len(cx.maximal(m)) > 1:
+                kind = "path" if ix.path(mask) is not None else "not a path"
+                seen[kind, got is not None] += 1
+    # the path branch was taken; other masks were searched, and some of them
+    # (an arrow with no source before an arrow, say) are still found
+    assert seen["path", True] > 150 and seen["not a path", False] > 1000, seen
+    assert seen["not a path", True] and not seen["path", False], seen
+
+
+def test_recognising_a_chain_orders_no_frame_and_remembers_one_mask(monkeypatch):
+    calls = []
+    frame_order = _Index.frame_order
+    monkeypatch.setattr(_Index, "frame_order", lambda self, *args: calls.append(args) or frame_order(self, *args))
+    for n in (2, 3, 40, 300):
+        cx = _shuffled_chain(random.Random(n), n)
+        ix = cx._index()
+        got = recognize(cx, cx.whole())
+        assert got.members == cx.whole() and certificate_ok(got)
+        assert not calls and len(ix.recognized) == 1
+        # arrows pasted at level 0, nested to the right in path order
+        cert, tops = got.certificate, []
+        while isinstance(cert, Pasting):
+            assert cert.k == 0 and isinstance(cert.left, Atom)
+            tops.append(cert.left.top)
+            cert = cert.right
+        assert tops + [cert.top] == ref_wire_sequence(cx, cx.whole())
+
+
 def ref_compos(u: Molecule, name: str | None = None) -> Molecule:
     """The composite cell by recognising both (n-1)-boundaries and capping them
     with `cell_to`, which matches their (n-2)-boundaries by isomorphism."""
@@ -1006,6 +1104,42 @@ def test_compos_matches_cell_to_over_the_recognised_boundaries():
         assert compos(u).complex.name == ref_compos(u).complex.name
         dims.add(u.dim)
     assert dims == {0, 1, 2, 3, 4, 5, 6}
+
+
+def test_a_pasting_has_the_boundaries_of_its_halves(enumerated):
+    """On every enumerated pasting U #k V in a regular complex: the j-boundaries
+    are those of U below k, the input of U and the output of V at k, and the
+    union of both above k.  Flipped copies that fail validation are left out,
+    as the rule is a theorem about regular complexes and fails on some of them.
+    Beside the corpus, the molecules of 40 larger random molecules and of Gray
+    products of globes up to dimension 6."""
+    rng = random.Random(0xB0)
+    extra = [random_molecule(rng, max_elements=40).complex for _ in range(40)]
+    extra += [gray_product(globe(a), globe(b)) for a, b in ((2, 2), (2, 3), (1, 4), (3, 3))]
+    seen = Counter()
+    for cx, found in [*((cx, found) for cx, found, _ in enumerated), *((cx, enumerate_molecules(cx)[0]) for cx in extra)]:
+        if not validate_complex(cx).passed:
+            continue
+        ix = cx._index()
+
+        def members(cert: Atom | Pasting) -> int:
+            return _fold(cert, lambda a: ix.down[ix.pos[a.top]], lambda p, left, right: left | right)
+
+        for u in found:
+            p = u.certificate
+            if isinstance(p, Atom):
+                continue
+            m, k = ix.mask(u.members), p.k
+            top = ix.dim(m)
+            left, right = ix.boundaries(members(p.left), top), ix.boundaries(members(p.right), top)
+            want = [
+                left[j] if j < k else (left[k][0], right[k][1]) if j == k else (left[j][0] | right[j][0], left[j][1] | right[j][1])
+                for j in range(top)
+            ]
+            assert ix.boundaries(m, top) == want, (cx.name, sorted(u.members))
+            seen[k < top - 1] += 1
+    # pastings along the top boundary, and below it, where the union rule applies
+    assert seen[True] > 1000 and seen[False] > 1000, seen
 
 
 def test_frame_loops_agrees_with_frame_order(enumerated):

@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +26,7 @@ from pastekit import (
     wire_permutation,
 )
 from pastekit.serialize import parse_presentation, serialize_presentation
-from pastekit.theories import Braid, BraidInv, Layered2Cell, Slice, pro_dual
+from pastekit.theories import Braid, BraidInv, GenRef, Layered2Cell, Slice, pro_dual
 
 
 perms = st.integers(1, 8).flatmap(
@@ -122,6 +125,66 @@ def test_block_sigma_2x3():
     for i in (1, 2):
         for j in (1, 2, 3):
             assert s((i - 1) * 3 + j) == (j - 1) * 2 + i
+
+
+def _random_word(rng: random.Random) -> tuple[str, ...]:
+    return tuple(rng.choice("abc") for _ in range(rng.randint(0, 4)))
+
+
+def _random_cell(rng: random.Random) -> Layered2Cell:
+    """A stack of up to four slices over a random word.  Most slices cross two
+    neighbouring wires of the word they meet; the others are a generator or a
+    crossing with random whiskers, which may not chain."""
+    source = word = _random_word(rng)
+    slices = []
+    for _ in range(rng.randint(0, 4)):
+        crossing = rng.choice((Braid, BraidInv))
+        if len(word) >= 2 and rng.random() < 0.7:
+            k = rng.randrange(len(word) - 1)
+            a, b = word[k], word[k + 1]
+            slices.append(Slice(word[:k], crossing(a, b), word[k + 2 :]))
+            word = word[:k] + (b, a) + word[k + 2 :]
+        else:
+            op = GenRef(rng.choice("fg")) if rng.random() < 0.4 else crossing(*rng.sample("abcd", 2))
+            slices.append(Slice(_random_word(rng), op, _random_word(rng)))
+    return Layered2Cell(source, tuple(slices))
+
+
+def _random_family(rng: random.Random) -> tuple[int, int, list[list[str]]]:
+    """An n-by-m family of sorts, or (one time in three) rows of other lengths."""
+    n, m = rng.randint(-1, 3), rng.randint(-1, 3)
+    rows = [[f"s{i}{j}" for j in range(max(m, 0))] for i in range(max(n, 0))]
+    if rng.random() < 1 / 3:
+        rows = [[f"s{i}{j}" for j in range(rng.randint(0, 3))] for i in range(rng.randint(0, 3))]
+    return n, m, rows
+
+
+def test_slice_functions_raise_only_theory_errors_on_random_slices():
+    rng = random.Random(0x51C)
+    outcomes = Counter()
+    for _ in range(10_000):
+        cell = _random_cell(rng)
+        signatures = {g: (_random_word(rng), _random_word(rng)) for g in rng.sample("fg", rng.randint(0, 2))}
+        n, m, rows = _random_family(rng)
+        for name, call in (
+            ("wire_permutation", lambda: wire_permutation(cell)),
+            ("target", lambda: cell.target(signatures)),
+            ("block_sigma", lambda: block_sigma(n, m, rows)),
+        ):
+            try:
+                got = call()
+            except (TheoryError, ValueError):
+                outcomes[name, "refused"] += 1
+                continue
+            outcomes[name, "ok"] += 1
+            if name == "wire_permutation":
+                assert got.n == len(cell.source)
+            elif name == "block_sigma":
+                sigma, sigma_star = got
+                assert sigma.target({}) == sigma_star.source
+                assert sigma_star.target({}) == sigma.source == tuple(x for row in rows for x in row)
+    names = ("wire_permutation", "target", "block_sigma")
+    assert all(outcomes[name, outcome] for name in names for outcome in ("ok", "refused")), outcomes
 
 
 def test_builtin_mon():
