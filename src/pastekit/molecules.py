@@ -9,7 +9,10 @@ atom's top, the union of a pasting's halves).  Constructors (`globe`,
 `recognize` rebuilds one from a bare closed subset by exhaustive split
 search (complete up to dimension 3) on the complex's bitmask index, one
 search per subset on an explicit stack, so its depth does not grow; a
-1-dimensional path of arrows is read off in one walk instead.
+1-dimensional path of arrows is read off in one walk instead, and a
+1-dimensional subset whose arrows all have both ends is refused unless it is
+such a path.  `unique_iso` pairs two subsets along the one topological order
+of their oriented Hasse graphs, and searches only when they have none.
 
 Pasting has one path: `_paste_all` pastes a whole sequence at one level
 in a single element table, giving every element the id that folding
@@ -25,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Generator, Iterator, Mapping, TypeVar
 
-from .ogp import Complex, MINUS, PLUS, SIGNS, _Index, spherical_boundary
+from .ogp import Complex, MINUS, PLUS, SIGNS, _Index, _unique_topo, spherical_boundary
 
 T = TypeVar("T")
 
@@ -199,14 +202,43 @@ def unique_iso(
 ) -> dict[str, str] | None:
     """The isomorphism between two molecules, if one exists.
 
-    Molecules of regular complexes are isomorphic in at most one way; a
-    second distinct isomorphism found by the search is reported as an
-    internal consistency error.
+    An isomorphism maps the oriented Hasse graph of one subset onto that of
+    the other, so it maps a topological order of one onto a topological
+    order of the other.  When each graph has exactly one
+    (`ogp._unique_topo`), the only candidate pairs the two orders position
+    by position; it is checked for dimensions and signed covers inside the
+    subsets and returned, or None.  That map is unique by construction: an
+    automorphism keeps the one order, so it is the identity.  When only one
+    side has a unique order, the subsets are not isomorphic.  A single
+    element is its own order, so two of them (the points matched by each
+    pasting at level 0) are paired without building the graphs.
+
+    When neither has one, the elements are matched by a search, from the
+    bottom dimension up, among the candidates of equal refined fingerprint
+    (`_fingerprints`).  Molecules of regular complexes are isomorphic in at
+    most one way; a second distinct isomorphism found by the search is
+    reported as an internal consistency error.
     """
     acx, a = (u.complex, u.members) if isinstance(u, Molecule) else u
     bcx, b = (v.complex, v.members) if isinstance(v, Molecule) else v
     if len(a) != len(b):
         return None
+    if len(a) == 1:
+        (x,), (y,) = a, b
+        return {x: y} if acx.dim_of(x) == bcx.dim_of(y) else None
+    ga, gb = acx._hasse(a), bcx._hasse(b)
+    oa, ob = _unique_topo(ga), _unique_topo(gb)
+    if oa is not None or ob is not None:
+        if oa is None or ob is None:
+            return None
+        fwd = dict(zip(oa, ob))
+        # with dimensions kept, an edge is one signed cover: the upper end
+        # covers the lower one, with the sign its direction gives
+        adim, bdim = acx.dim_of, bcx.dim_of
+        for x, y in fwd.items():
+            if adim(x) != bdim(y) or {fwd[w] for w in ga[x]} != set(gb[y]):
+                return None
+        return fwd
     fpa = _fingerprints(acx, a)
     fpb = _fingerprints(bcx, b)
     if sorted(fpa.values()) != sorted(fpb.values()):
@@ -539,8 +571,10 @@ def recognize(cx: Complex, members: frozenset[str]):
     complex whose cells are themselves well-formed.  A 1-dimensional subset
     that is a single path of arrows is not searched: its certificate pastes
     the arrows at level 0, nested to the right in path order, which is what
-    the search would find.  The complex remembers the result for every
-    subset searched, and later calls read it back.
+    the search would find; one that is no path but whose arrows each have
+    one input and one output point is no molecule, and not searched either.
+    The complex remembers the result for every subset searched, and later
+    calls read it back.
     """
     ix = cx._index()
     root = ix.mask(members)
@@ -592,21 +626,28 @@ def _split_search(ix: _Index, m: int) -> Generator[int, _Found, _Found]:
     tried twice (the cells from i on with the output k-boundary, then the
     cells before i with the input k-boundary, each against the rest).
 
-    A 1-dimensional mask that is a path (`_Index.path`) is not searched.  On
-    a path the first cut always splits (level 0, cut 1, from the tail), so
+    A mask of dimension <= 1 that is a path (`_Index.path`) is not searched.
+    On a path the first cut always splits (level 0, cut 1, from the tail), so
     the search would find the arrows pasted at level 0 and nested to the
     right in path order; that certificate is built directly, and the
-    suffixes are neither searched nor remembered."""
+    suffixes are neither searched nor remembered.  Nor is one that is not a
+    path but whose arrows each have one input and one output point
+    (`_Index.two_ended`): there an atom is a path, and pasting two paths at
+    level 0 along the end of the first gives a path, so every molecule is a
+    path and the search would find none."""
     maximal = ix.maximal(m)
     if not maximal & (maximal - 1):
         return Atom(ix.ids[maximal.bit_length() - 1])
     n = ix.dim(m)
-    arrows = ix.path(m) if n == 1 else None
-    if arrows is not None:
-        cert = Atom(ix.ids[arrows[-1]])
-        for a in reversed(arrows[:-1]):
-            cert = Pasting(0, Atom(ix.ids[a]), cert)
-        return cert
+    if n <= 1:
+        arrows = ix.path(m)
+        if arrows is not None:
+            cert = Atom(ix.ids[arrows[-1]])
+            for a in reversed(arrows[:-1]):
+                cert = Pasting(0, Atom(ix.ids[a]), cert)
+            return cert
+        if ix.two_ended(m):
+            return None
     inconclusive = n >= 4
     for k in range(max(ix.frame_dimension(maximal), 0), n):
         tail = maximal & ~ix.below(k + 1)

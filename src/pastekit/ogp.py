@@ -62,6 +62,32 @@ def _lex_topo(adj: Mapping[V, Iterable[V]]) -> list[V] | None:
     return out if len(out) == len(adj) else None
 
 
+def _unique_topo(adj: Mapping[V, Iterable[V]]) -> list[V] | None:
+    """The topological order of a digraph when it is the only one, or None
+    when the graph has a cycle or more than one topological order.
+
+    Kahn's algorithm that gives up as soon as two vertices are ready at
+    once: the order is unique exactly when every step has one choice, that
+    is when consecutive vertices are joined by an edge and reachability
+    compares every pair.  ``adj`` maps every vertex to its successors; no
+    vertex order is needed, as there is nothing to choose.
+    """
+    need = dict.fromkeys(adj, 0)  # predecessors not yet taken
+    for ws in adj.values():
+        for w in ws:
+            need[w] += 1
+    ready = [v for v, count in need.items() if not count]
+    out = []
+    while len(ready) == 1:
+        v = ready.pop()
+        out.append(v)
+        for w in adj[v]:
+            need[w] -= 1
+            if not need[w]:
+                ready.append(w)
+    return out if len(out) == len(need) else None
+
+
 class _Index:
     """A complex's elements as bit positions, and per-element masks.
 
@@ -77,7 +103,8 @@ class _Index:
     ``Complex.cofaces`` and ``Complex.by_dim`` read.  ``path`` walks a
     1-dimensional mask from its start point and returns its arrows in path
     order, or None when the mask is not a single path; recognition and the
-    SVG wire layers both read it.
+    SVG wire layers both read it.  ``two_ended`` tells recognition that a
+    mask which is no path is no molecule either.
 
     The complex is immutable, so what is found about it is a pure function
     of this index and is kept here: ``recognized`` maps each closed mask
@@ -319,6 +346,23 @@ class _Index:
             seen |= step | end
             at = end.bit_length() - 1
 
+    def two_ended(self, m: int) -> bool:
+        """Whether every arrow of ``m`` covers exactly one input point and one
+        output point.  In a mask whose arrows all do, every molecule is a path."""
+        into, cover = self.cofaces[MINUS], self.cover
+        rest = m & self.below(2) & ~self.below(1)
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            ends = cover[low.bit_length() - 1]
+            first = ends & -ends
+            second = ends ^ first
+            if not second or second & (second - 1):
+                return False
+            if bool(into[first.bit_length() - 1] & low) == bool(into[second.bit_length() - 1] & low):
+                return False  # both ends inputs, or both outputs
+        return True
+
     def spherical(self, m: int) -> bool:
         """`spherical_boundary` of a mask."""
         inner = 0
@@ -493,16 +537,21 @@ class Complex:
         """
         if members is None:
             members = self.whole()
-        adj: dict[str, list[str]] = {x: [] for x in sorted(members)}
+        adj = self._hasse(members)
+        return {v: tuple(sorted(adj[v])) for v in sorted(adj)}
+
+    def _hasse(self, members: frozenset[str]) -> dict[str, list[str]]:
+        """`oriented_hasse` of ``members`` unsorted, with its edge lists."""
+        covers = self._covers
+        adj: dict[str, list[str]] = {x: [] for x in members}
         for y in members:
-            for x, sign in self._covers[y]:
-                if x not in members:
-                    continue
-                if sign == PLUS:
-                    adj[y].append(x)
-                else:
-                    adj[x].append(y)
-        return {v: tuple(sorted(ws)) for v, ws in adj.items()}
+            for x, sign in covers[y]:
+                if x in members:
+                    if sign == PLUS:
+                        adj[y].append(x)
+                    else:
+                        adj[x].append(y)
+        return adj
 
     def restrict(self, members: frozenset[str], name: str | None = None) -> "Complex":
         """The induced sub-poset on a closed subset, as a standalone complex."""

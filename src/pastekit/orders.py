@@ -4,9 +4,10 @@ The bipartite frame graph at level n relates maximal cells above n to the
 n-dimensional elements they feed through; its acyclicity at the frame
 dimension is what lets a molecule be taken apart layer by layer.
 
-Orders come from the one Kahn sort, `ogp._lex_topo`: k-orders through
-`_Index.frame_order`, and the Hasse-graph order of `totally_loop_free`
-directly.  `_frame_loops` tests a frame graph for a cycle without ordering it.
+k-orders come from the one lexicographic Kahn sort, `ogp._lex_topo`, through
+`_Index.frame_order`.  The Hasse-graph order of `totally_loop_free` is the
+one totality test, `ogp._unique_topo`, which `molecules.unique_iso` also
+reads.  `_frame_loops` tests a frame graph for a cycle without ordering it.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .ogp import Complex, MINUS, PLUS, _Index, _lex_topo
+from .ogp import Complex, MINUS, PLUS, _Index, _unique_topo
 from . import molecules as mol
 
 
@@ -293,18 +294,18 @@ def totally_loop_free(cx: Complex, members: frozenset[str] | None = None) -> Loo
 
     The reachability preorder is available whenever the graph is acyclic; a
     total order is additionally returned exactly when reachability compares
-    every pair, in which case it is the unique topological order.
+    every pair, in which case it is the unique topological order.  Totality
+    is `ogp._unique_topo`, the test `unique_iso` also matches by; a graph
+    without that order is searched for a cycle.
     """
     if members is None:
         members = cx.whole()
     adj = cx.oriented_hasse(members)
-    order = _lex_topo(adj)
-    if order is None:
-        return LoopFreeReport(False, False, None, adj, _find_cycle(adj))
-    # a topological order is the only one exactly when consecutive vertices
-    # are joined by an edge, i.e. reachability is total
-    total = all(w in adj[v] for v, w in zip(order, order[1:]))
-    return LoopFreeReport(True, total, tuple(order) if total else None, adj)
+    order = _unique_topo(adj)
+    if order is not None:
+        return LoopFreeReport(True, True, tuple(order), adj)
+    cycle = _find_cycle(adj)
+    return LoopFreeReport(cycle is None, False, None, adj, cycle)
 
 
 def normal_1_order(u: mol.Molecule) -> KOrder:

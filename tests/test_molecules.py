@@ -354,9 +354,20 @@ def test_certificate_ok_rejects_wrong_trees():
         assert not certificate_ok(Molecule(u.complex, u.members, bad))
 
 
+def _beside_a_point(u: Molecule) -> tuple[Complex, frozenset[str]]:
+    """The complex of ``u`` with one more point, joined to nothing."""
+    cx = u.complex
+    table = {x: (cx.dim_of(x), cx.covers(x)) for x in cx.elements()}
+    table["lone"] = (0, [])
+    out = Complex(f"{cx.name}+pt", table)
+    return out, out.whole()
+
+
 def test_certificate_walks_do_not_recurse_per_node():
     u = interval_chain(300)  # its certificate is 299 pasting nodes deep
     twin = interval_chain(300)
+    # two sources, so no single order: the search matches 602 elements deep
+    loose, loose_twin = _beside_a_point(u), _beside_a_point(twin)
     frame, depth = sys._getframe(), 0
     while frame is not None:
         frame, depth = frame.f_back, depth + 1
@@ -366,11 +377,29 @@ def test_certificate_walks_do_not_recurse_per_node():
         assert certificate_ok(u)
         assert certificate_json(u)["paste"]["k"] == 0
         longer = paste(u, globe_molecule(1), 0)
-        iso = unique_iso(u, twin)  # the search matches 599 elements deep
+        iso = unique_iso(u, twin)  # paired along the one order
+        searched = unique_iso(loose, loose_twin)
     finally:
         sys.setrecursionlimit(limit)
     assert len(longer.members) == len(u.members) + 2
     assert iso is not None and len(iso) == len(u.members)
+    assert searched == {**iso, "lone": "lone"}
+
+
+def test_matching_two_chains_refines_no_fingerprints(monkeypatch):
+    calls = []
+    fingerprints = molecules._fingerprints
+    monkeypatch.setattr(molecules, "_fingerprints", lambda *args: calls.append(args) or fingerprints(*args))
+    for n in (2, 40, 300):
+        u = interval_chain(n)
+        cx = u.complex
+        twin = cx.relabel({x: f"t{i}" for i, x in enumerate(reversed(cx.elements()))})
+        iso = unique_iso(u, (twin, twin.whole()))
+        assert iso is not None and len(iso) == len(u.members)
+        assert not calls
+    # beside a point there is no single order, and the search refines them
+    short = interval_chain(2)
+    assert unique_iso(_beside_a_point(short), _beside_a_point(short)) is not None and calls
 
 
 def test_recognition_depth_does_not_grow_with_the_chain(tmp_path, capsys):

@@ -5,15 +5,18 @@ library did before it kept per-element facts: a cover-walking closure, a
 cover test for maximal elements, a boundary built per level and sign, the
 pairwise frame dimension, the level-n frame graph from per-call atom
 boundaries, a heap-free Kahn loop (`ref_lex_topo`, which also checks the
-library's one sort `_lex_topo`) over that graph's ids for the order of its
+library's one sort `_lex_topo` and, with a test that consecutive vertices
+are joined, its one totality test `_unique_topo`) over that graph's ids for the order of its
 high cells, and an enumeration that recomputes every boundary of a member
 set when it is added and again when it is popped.  `is_k_order` is
 checked against reachability in the frame graph (`ref_is_k_order`).
 `Complex.cofaces` and `Complex.by_dim` read the index, so they are checked
-against a walk of the covers.  `unique_iso` matches elements bottom-up
-through their covers; `ref_unique_iso` keeps the top-down search through
-cofaces, and the two must agree on the map, ``None`` or the "not unique"
-error.
+against a walk of the covers.  `unique_iso` pairs the two subsets' oriented
+Hasse graphs along their one topological order when both have one, and
+only otherwise matches elements bottom-up through their covers;
+`ref_unique_iso` keeps the top-down search through cofaces, and the two must
+agree on the map, ``None`` or the "not unique" error, on pairs chosen to
+take both ways.
 Recognition, validation and graycat's precedences are remembered by each
 complex, so they are also checked on a complex whose memo is already full,
 on complexes derived from it, and on one complex shared by several
@@ -22,7 +25,8 @@ two-factor glue of separate ``left/`` and ``right/`` tables: `paste`, the
 fold of `paste` and `_paste_all` are checked against it and its left fold.
 The frame-loop test of frame acyclicity is checked against
 `_Index.frame_order`.  Recognition reads a 1-dimensional path off one walk
-(`_Index.path`), so it is checked against the split search with the walk
+(`_Index.path`) and refuses other masks whose arrows all have both ends
+(`_Index.two_ended`), so it is checked against the split search with both
 switched off, and the boundaries of enumerated pastings against the rule
 that derives them from their halves.  The canonical JSON writer `_dump` is
 checked against ``json.dumps(indent=2)`` (`ref_dump`), json's own
@@ -87,9 +91,9 @@ from pastekit import (
     validate_complex,
 )
 from pastekit.molecules import _fold, _glue, _mismatch, _paste_all, _rename, unique_iso, whole
-from pastekit.ogp import ElementReport, ValidationReport, _Index, _lex_topo
+from pastekit.ogp import ElementReport, ValidationReport, _Index, _lex_topo, _unique_topo
 from pastekit.orders import _find_cycle, _frame_graph, _frame_loops, is_k_order
-from pastekit import serialize
+from pastekit import molecules, serialize
 from pastekit.fixtures import fixture_files, frob
 from pastekit.render import _wire_sequence
 from pastekit.serialize import _dump, parse_complex, serialize_complex, serialize_expr
@@ -308,13 +312,16 @@ def _random_digraph(rng: random.Random) -> dict:
 
 def test_lex_topo_matches_the_naive_kahn_loop():
     rng = random.Random(0x70B0)
-    outcomes = set()
+    outcomes = Counter()
     for _ in range(3000):
         adj = _random_digraph(rng)
         want = ref_lex_topo(adj)
         assert _lex_topo(adj) == want, adj
-        outcomes.add(want is None)
-    assert outcomes == {True, False}
+        # the order is the only one when consecutive vertices are joined by an edge
+        only = want if want is not None and all(w in adj[v] for v, w in zip(want, want[1:])) else None
+        assert _unique_topo(adj) == only, adj
+        outcomes["loop" if want is None else "one order" if only is not None else "orders"] += 1
+    assert outcomes["one order"] > 100 and outcomes["orders"] and outcomes["loop"], outcomes
 
 
 def ref_high_order(cx: Complex, members: frozenset[str], k: int) -> list[str] | None:
@@ -632,15 +639,53 @@ def _cycles(*lengths: int) -> Complex:
     return Complex("+".join(map(str, lengths)), table)
 
 
-def test_unique_iso_matches_the_top_down_search():
+def _every_flip(cx: Complex) -> list[Complex]:
+    """Each copy of ``cx`` with the sign of one cover reversed."""
+    table = {y: (cx.dim_of(y), cx.covers(y)) for y in cx.elements()}
+    out = []
+    for x in cx.elements():
+        for i, (t, s) in enumerate(cx.covers(x)):
+            covers = list(cx.covers(x))
+            covers[i] = (t, MINUS if s == PLUS else PLUS)
+            out.append(Complex(f"{cx.name}~{x}.{i}", {**table, x: (cx.dim_of(x), covers)}))
+    return out
+
+
+def _with(cx: Complex, name: str, extra: dict) -> Complex:
+    """``cx`` with the elements of ``extra`` added."""
+    table = {y: (cx.dim_of(y), cx.covers(y)) for y in cx.elements()}
+    return Complex(name, {**table, **extra})
+
+
+def _four_cells(rng: random.Random, count: int) -> list[Complex]:
+    """Atoms over random spherical 3-molecules, so that their 3-boundaries are 3-dimensional."""
+    out = []
+    while len(out) < count:
+        u = random_molecule(rng, max_elements=28)
+        if u.dim == 3 and spherical(u):
+            out.append(cell_to(u, compos(u)).complex)
+    return out
+
+
+def test_unique_iso_matches_the_top_down_search(monkeypatch):
     rng = random.Random(0x150)
-    seen = {"map": 0, "none": 0, "not unique": 0}
     arrow = [("0-", MINUS), ("0+", PLUS)]
     parallel = Complex("parallel", {"0-": (0, []), "0+": (0, []), "a": (1, arrow), "b": (1, arrow)})
     # a 6-cycle and two 3-cycles: only the search tells them apart
     loops = [(cx, cx.whole()) for cx in (parallel, _cycles(6), _cycles(3, 3))]
     pairs = list(itertools.product(loops, repeat=2))
-    for cx in COMPLEXES:
+    # one side has a single order and the other has none: a flipped sign gives
+    # an arrow with two inputs or two outputs, or a loop (as in the 2-globe)
+    for cx in (interval_chain(3).complex, globe(2), u_cell(2, 1).complex):
+        for flipped in _every_flip(cx):
+            pairs += [((cx, cx.whole()), (flipped, flipped.whole())), ((flipped, flipped.whole()), (cx, cx.whole()))]
+    # neither side has a single order: a chain with an arrow parallel to one of
+    # its arrows, or beside a point
+    chain = interval_chain(3).complex
+    doubled = _with(chain, "doubled", {"twin": (1, chain.covers(chain.by_dim(1)[1]))})
+    lone = _with(chain, "lone", {"pt": (0, [])})
+    pairs += [((x, x.whole()), (y, y.whole())) for x in (doubled, lone) for y in (doubled, lone)]
+    for cx in COMPLEXES + _four_cells(rng, 3):
         # ids renamed in a shuffled order, so the search meets the elements in another order
         shuffled = rng.sample(cx.elements(), len(cx))
         renamed = {x: f"n{i:02d}" for i, x in enumerate(shuffled)}
@@ -649,12 +694,22 @@ def test_unique_iso_matches_the_top_down_search():
         pairs += [((cx, m), (relabelled, frozenset(renamed[x] for x in m))) for m in mine]
         for other in (cx, cx.dual(), flip_one_sign(cx, rng)):
             pairs += [((cx, m), (other, n)) for m in mine for n in _iso_sets(other)]
+    fingerprinted = []
+    fingerprints = molecules._fingerprints
+    monkeypatch.setattr(molecules, "_fingerprints", lambda *args: fingerprinted.append(args) or fingerprints(*args))
+    seen = Counter()
     for u, v in pairs:
+        before = len(fingerprinted)
         got = _iso_outcome(unique_iso, u, v)
         assert got == _iso_outcome(ref_unique_iso, u, v)
-        seen["map" if isinstance(got, dict) else "none" if got is None else "not unique"] += 1
-    assert all(seen.values()), seen
-
+        if len(u[1]) == len(v[1]) > 1:
+            way = "search" if len(fingerprinted) > before else "order"
+            seen[way, "map" if isinstance(got, dict) else "none" if got is None else "not unique"] += 1
+            seen[way, u[0].dim_of_subset(u[1])] += 1
+    # both ways found maps and refused pairs; only the search can find two maps
+    assert all(seen[way, outcome] for way in ("order", "search") for outcome in ("map", "none")), seen
+    assert seen["search", "not unique"] and not seen["order", "not unique"], seen
+    assert seen["order", 3] and seen["search", 3], seen
 
 
 def ref_recognize(cx: Complex, members: frozenset[str], memo: dict | None = None):
@@ -1021,11 +1076,11 @@ def test_recognising_a_path_gives_the_certificate_of_the_split_search(monkeypatc
         for _ in range(6):
             i, j = sorted(rng.sample(range(n + 1), 2))
             sets.add(cx.closure(arrows[i:j]))  # a run of arrows: a shorter path
-            if n < 16:  # the search takes seconds to refuse the pieces of a long chain
-                sets.add(cx.closure(rng.sample(arrows, rng.randint(1, n))))
+            sets.add(cx.closure(rng.sample(arrows, rng.randint(1, n))))  # usually pieces
         cases.append((cx, sorted(sets, key=sorted)))
     with monkeypatch.context() as patched:
         patched.setattr(_Index, "path", lambda self, m: None)
+        patched.setattr(_Index, "two_ended", lambda self, m: False)
         searched = [[_found(recognize(cx.relabel({}), m)) for m in sets] for cx, sets in cases]
     walked = [[_found(recognize(cx, m)) for m in sets] for cx, sets in cases]
     assert walked == searched
@@ -1035,12 +1090,13 @@ def test_recognising_a_path_gives_the_certificate_of_the_split_search(monkeypatc
         for m, got in zip(sets, results):
             mask = ix.mask(m)
             if len(cx.maximal(m)) > 1:
-                kind = "path" if ix.path(mask) is not None else "not a path"
+                kind = "path" if ix.path(mask) is not None else "refused" if ix.two_ended(mask) else "searched"
                 seen[kind, got is not None] += 1
-    # the path branch was taken; other masks were searched, and some of them
+    # the path branch was taken, masks whose arrows all have both ends and
+    # are no path were refused, and the others were searched: some of those
     # (an arrow with no source before an arrow, say) are still found
-    assert seen["path", True] > 150 and seen["not a path", False] > 1000, seen
-    assert seen["not a path", True] and not seen["path", False], seen
+    assert seen["path", True] > 150 and seen["refused", False] > 150 and seen["searched", False] > 500, seen
+    assert seen["searched", True] and not seen["path", False] and not seen["refused", True], seen
 
 
 def test_recognising_a_chain_orders_no_frame_and_remembers_one_mask(monkeypatch):
