@@ -522,7 +522,7 @@ def substitute(u: Molecule, v_members: frozenset[str], w: Molecule, name: str | 
         lambda sign, mismatch: SubstitutionError(f"{sign}-boundaries of site and replacement differ ({mismatch})"),
         "substitution boundary isomorphisms disagree",
     )
-    v_boundary = cx.boundary(v_members, k - 1, MINUS) | cx.boundary(v_members, k - 1, PLUS)
+    v_boundary = cx.boundary(v_members, k - 1)
     interior = v_members - v_boundary
     if any(t in interior for x in u.members - v_members for t, _ in cx.covers(x)):
         # the interior is attached from outside; only a full isomorphic
@@ -656,7 +656,7 @@ def _split_search(ix: _Index, m: int) -> Generator[int, _Found, _Found]:
         highs = ix.frame_order(m, maximal, k)
         if highs is None:
             continue
-        bminus, bplus = ix.boundary(m, k, MINUS), ix.boundary(m, k, PLUS)
+        bminus, bplus = ix.boundary(m, k)
         head = 0  # the high cells before cut i; tail holds those from i on
         for i in range(1, len(highs)):
             head |= 1 << highs[i - 1]
@@ -664,10 +664,10 @@ def _split_search(ix: _Index, m: int) -> Generator[int, _Found, _Found]:
             for from_tail in (True, False):
                 if from_tail:
                     right = ix.closure(tail) | bplus
-                    left = ix.closure(m & ~right | ix.boundary(right, k, MINUS))
+                    left = ix.closure(m & ~right | ix.boundary(right, k)[0])
                 else:
                     left = ix.closure(head) | bminus
-                    right = ix.closure(m & ~left | ix.boundary(left, k, PLUS))
+                    right = ix.closure(m & ~left | ix.boundary(left, k)[1])
                 if not _is_split(ix, m, left, right, k):
                     continue
                 lcert = yield left
@@ -683,7 +683,7 @@ def _is_split(ix: _Index, m: int, left: int, right: int, k: int) -> bool:
     if left | right != m:
         return False
     shared = left & right
-    return ix.boundary(left, k, PLUS) == shared and ix.boundary(right, k, MINUS) == shared
+    return ix.boundary(left, k)[1] == shared and ix.boundary(right, k)[0] == shared
 
 
 def _enumerate_masks(cx: Complex, max_count: int) -> tuple[dict[int, Atom | Pasting], bool]:

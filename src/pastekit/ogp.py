@@ -97,13 +97,16 @@ class _Index:
     ``i`` marks element ``ids[i]``, and ``rank[i]`` is the place of ``ids[i]``
     in sorted-id order.  Each element has a downset mask (its closure), a
     cover mask, and one coface mask per sign; each cell's sides in the frame
-    graphs of each level are cached here as masks.  The index is built from
-    the complex's checked table of dimensions and covers alone, and it holds
-    the only copy of the coface relation and of the per-dimension lists, which
-    ``Complex.cofaces`` and ``Complex.by_dim`` read.  ``path`` walks a
-    1-dimensional mask from its start point and returns its arrows in path
-    order, or None when the mask is not a single path; recognition and the
-    SVG wire layers both read it.  ``two_ended`` tells recognition that a
+    graphs of each level are cached here as masks.  ``boundary`` gives a
+    mask's input and output n-boundaries as one pair, from one pass, and
+    ``boundaries`` the pairs of every level below a top, from one sweep; a
+    caller that needs one sign takes it from the pair.  The index is built
+    from the complex's checked table of dimensions and covers alone, and it
+    holds the only copy of the coface relation and of the per-dimension
+    lists, which ``Complex.cofaces`` and ``Complex.by_dim`` read.  ``path``
+    walks a 1-dimensional mask from its start point and returns its arrows in
+    path order, or None when the mask is not a single path; recognition and
+    the SVG wire layers both read it.  ``two_ended`` tells recognition that a
     mask which is no path is no molecule either.
 
     The complex is immutable, so what is found about it is a pure function
@@ -226,19 +229,18 @@ class _Index:
                 plus |= down[i]
         return minus, plus
 
-    def boundary(self, m: int, n: int, sign: str | None) -> int:
-        """``Complex.boundary`` on masks; ``sign=None`` is the union of both."""
+    def boundary(self, m: int, n: int) -> tuple[int, int]:
+        """The input and output n-boundaries of ``m``, from one pass: the
+        closures of its two source sets, each with the members that nothing
+        above level n covers."""
         if n < 0:
-            return 0
-        low = self.below(n + 1)
-        swallowed = m & ~self.closure(m & ~low)
+            return 0, 0
+        swallowed = m & ~self.closure(m & ~self.below(n + 1))
         minus, plus = self.sources(m, n)
-        if sign is None:
-            return minus | plus | swallowed
-        return (minus if sign == MINUS else plus) | swallowed
+        return minus | swallowed, plus | swallowed
 
     def boundaries(self, m: int, top: int) -> list[tuple[int, int]]:
-        """``[(boundary(m, k, -), boundary(m, k, +)) for k < top]``.
+        """``[boundary(m, k) for k < top]``.
 
         The closure of the members above level k, shared by both signs,
         grows by one dimension per level from the top down.
@@ -252,10 +254,6 @@ class _Index:
                 minus, plus = self.sources(m, k)
                 out[k] = (minus | swallowed, plus | swallowed)
         return out
-
-    def atom_boundary(self, i: int, n: int, sign: str | None = None) -> int:
-        """``boundary(down[i], n, sign)``."""
-        return self.boundary(self.down[i], n, sign)
 
     def frame_dimension(self, maximal: int) -> int:
         """The greatest dimension in which two cells of ``maximal`` overlap, -1
@@ -283,8 +281,8 @@ class _Index:
             rest ^= low
             got = self.sides.get((i, n))
             if got is None:
-                rim = self.atom_boundary(i, n - 1)
-                got = self.sides[i, n] = tuple(self.atom_boundary(i, n, s) & ~rim for s in SIGNS)
+                lo, hi = self.boundary(self.down[i], n - 1)
+                got = self.sides[i, n] = tuple(b & ~(lo | hi) for b in self.boundary(self.down[i], n))
             out.append((i, got[0] & m, got[1] & m))
         return out
 
@@ -363,15 +361,6 @@ class _Index:
                 return False  # both ends inputs, or both outputs
         return True
 
-    def spherical(self, m: int) -> bool:
-        """`spherical_boundary` of a mask."""
-        inner = 0
-        for minus, plus in self.boundaries(m, self.dim(m)):
-            if minus & plus != inner:
-                return False
-            inner = minus | plus
-        return True
-
 
 class Complex:
     """A finite oriented graded poset.
@@ -392,7 +381,8 @@ class Complex:
     downset, cover and signed coface masks.  ``cofaces`` and ``by_dim`` are
     read from that index.  Closures, boundaries, source sets, maximal
     elements and closedness are mask arithmetic on it, behind signatures
-    that take and return ``frozenset`` ids.  The index
+    that take and return ``frozenset`` ids; ``boundary`` computes both signs
+    at once and returns the one asked for, or their union.  The index
     also caches each cell's input and output boundaries off its rim, which
     frame graphs are built from, the result of each finished recognition
     search, `validate_complex`'s checks and graycat's precedences; that only
@@ -521,7 +511,8 @@ class Complex:
         m = ix.mask(members)
         if n is None:
             n = ix.dim(m) - 1
-        return ix.members(ix.boundary(m, n, sign))
+        minus, plus = ix.boundary(m, n)
+        return ix.members(minus | plus if sign is None else minus if sign == MINUS else plus)
 
     def whole(self) -> frozenset[str]:
         return frozenset(self._ids)
@@ -628,33 +619,37 @@ class ValidationReport:
         return tuple(c for c in self.checks if not c.ok)
 
 
+def _spherical(bds: list[tuple[int, int]]) -> bool:
+    """Whether the pairs of `_Index.boundaries`, from level 0 up, are spherical:
+    at each level the two boundaries meet exactly in the union of the level
+    below."""
+    inner = 0
+    for minus, plus in bds:
+        if minus & plus != inner:
+            return False
+        inner = minus | plus
+    return True
+
+
 def spherical_boundary(cx: Complex, members: frozenset[str]) -> bool:
     """Whether the two k-boundaries only meet in the (k-1)-boundary, all k."""
     ix = cx._index()
-    return ix.spherical(ix.mask(members))
-
-
-def globular(cx: Complex, x: str) -> bool:
-    ix = cx._index()
-    i = ix.pos[x]
-    n = ix.dims[i]
-    for a in SIGNS:
-        want = ix.atom_boundary(i, n - 2, a)
-        for b in SIGNS:
-            if ix.boundary(ix.atom_boundary(i, n - 1, b), n - 2, a) != want:
-                return False
-    return True
+    m = ix.mask(members)
+    return _spherical(ix.boundaries(m, ix.dim(m)))
 
 
 def validate_complex(cx: Complex) -> ValidationReport:
     """Check every element's cell-shaped-ness: spherical closure, molecule
     boundaries and globularity.
 
-    Molecule recognition is complete up to 3-dimensional boundaries; higher
-    boundaries report UNKNOWN rather than FAIL.  Overall PASS iff nothing
-    reports FAIL or a broken invariant.  The checks are made once per
-    complex and kept on its index; each call reports them under the
-    complex's current name.
+    Each cell of dimension n is checked from one sweep of its boundaries
+    (`_Index.boundaries`): the pairs are spherical, the two (n-1)-boundaries
+    are molecules, and, from n = 2, each (n-1)-boundary has the cell's own
+    (n-2)-boundaries.  Molecule recognition is complete up to 3-dimensional
+    boundaries; higher boundaries report UNKNOWN rather than FAIL.  Overall
+    PASS iff nothing reports FAIL or a broken invariant.  The checks are
+    made once per complex and kept on its index; each call reports them
+    under the complex's current name.
     """
     ix = cx._index()
     got = ix.report
@@ -675,18 +670,15 @@ def _checks(cx: Complex, ix: _Index) -> tuple[tuple[ElementReport, ...], bool, i
         n = ix.dims[i]
         if n < 1:
             continue
-        statuses = {}
-        for a in SIGNS:
-            res = molecules._recognized(ix, ix.atom_boundary(i, n - 1, a))
+        bds = ix.boundaries(ix.down[i], n)
+        statuses = []
+        for b in bds[n - 1]:
+            res = molecules._recognized(ix, b)
             if res is molecules.UNKNOWN:
-                statuses[a] = UNKNOWN
+                statuses.append(UNKNOWN)
                 unknowns += 1
-            elif res is None:
-                statuses[a] = FAIL
             else:
-                statuses[a] = PASS
-        glob = globular(cx, x) if n >= 2 else None
-        checks.append(
-            ElementReport(x, n, ix.spherical(ix.down[i]), statuses[MINUS], statuses[PLUS], glob)
-        )
+                statuses.append(FAIL if res is None else PASS)
+        glob = all(ix.boundary(b, n - 2) == bds[n - 2] for b in bds[n - 1]) if n >= 2 else None
+        checks.append(ElementReport(x, n, _spherical(bds), *statuses, glob))
     return tuple(checks), all(c.ok for c in checks), unknowns

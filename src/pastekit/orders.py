@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .ogp import Complex, MINUS, PLUS, _Index, _unique_topo
+from .ogp import Complex, _Index, _unique_topo
 from . import molecules as mol
 
 
@@ -202,10 +202,11 @@ def k_order(u: mol.Molecule, k: int) -> KOrder | None:
     """A deterministic k-order on a molecule, or None if the frame graph loops.
 
     Ties are broken towards the lexicographically least ready vertex, so
-    reruns and decompositions are reproducible.
+    reruns and decompositions are reproducible.  ``k`` must lie in
+    ``0 <= k < u.dim``.
     """
-    if k >= u.dim:
-        raise ValueError("k must be below the molecule dimension")
+    if not 0 <= k < u.dim:
+        raise ValueError("k must be at least 0 and below the molecule dimension")
     ix = u.complex._index()
     m = ix.mask(u.members)
     order = ix.frame_order(m, ix.maximal(m), k)
@@ -215,7 +216,10 @@ def k_order(u: mol.Molecule, k: int) -> KOrder | None:
 
 
 def is_k_order(u: mol.Molecule, k: int, sequence: Sequence[str]) -> bool:
-    """Whether ``sequence`` lists the level-k high cells, no output meeting an earlier input."""
+    """Whether ``sequence`` lists the level-k high cells, no output meeting an
+    earlier input.  There are no k-orders below level 0."""
+    if k < 0:
+        return False
     ix = u.complex._index()
     m = ix.mask(u.members)
     sides = {ix.ids[i]: (into, out) for i, into, out in ix.frame_sides(m, ix.maximal(m), k)}
@@ -245,8 +249,8 @@ def frame_decomposition(u: mol.Molecule, k: int, order: KOrder) -> list[mol.Mole
     ix = cx._index()
     current = ix.mask(u.members)
     for i in range(len(order.sequence) - 1):
-        suffix = ix.closure(ix.mask(order.sequence[i + 1 :])) | ix.boundary(current, k, PLUS)
-        first = ix.closure(current & ~suffix | ix.boundary(suffix, k, MINUS))
+        suffix = ix.closure(ix.mask(order.sequence[i + 1 :])) | ix.boundary(current, k)[1]
+        first = ix.closure(current & ~suffix | ix.boundary(suffix, k)[0])
         if not mol._is_split(ix, current, first, suffix, k):
             raise RuntimeError(f"frame decomposition split failed at index {i}")
         got = mol.recognize(cx, ix.members(first))
@@ -334,9 +338,8 @@ def slice_decomposition(u: mol.Molecule, i: mol.Molecule) -> tuple[mol.Molecule,
         raise ValueError("slice decomposition applies up to dimension 2")
     if i.complex is not cx or not i.members <= u.members:
         raise ValueError("the cut must be a subset of the molecule")
-    if cx.boundary(i.members, 0, MINUS) != cx.boundary(u.members, 0, MINUS) or (
-        cx.boundary(i.members, 0, PLUS) != cx.boundary(u.members, 0, PLUS)
-    ):
+    ix = cx._index()
+    if ix.boundary(ix.mask(i.members), 0) != ix.boundary(ix.mask(u.members), 0):
         raise ValueError("the cut does not span the molecule's endpoints")
     if u.dim <= 1:
         if i.members != u.members:
@@ -357,7 +360,6 @@ def slice_decomposition(u: mol.Molecule, i: mol.Molecule) -> tuple[mol.Molecule,
     below_cells = {x for x in u.members if cx.dim_of(x) == 2} - above_cells
     below = cx.closure(below_cells) | i.members
     above = cx.closure(above_cells) | i.members
-    ix = cx._index()
     if below & above != i.members or not mol._is_split(ix, ix.mask(u.members), ix.mask(below), ix.mask(above), 1):
         raise ValueError("the cut does not slice the molecule")
     lo = mol.recognize(cx, below)

@@ -179,10 +179,44 @@ BROKEN = {
 }
 
 
-def test_cli_validate_failure(tmp_path, capsys):
-    path = tmp_path / "broken.json"
-    path.write_text(json.dumps(BROKEN))
-    assert main(["validate", str(path)]) == 1
+def test_cli_validate_failure(fixture_dir, tmp_path, capsys):
+    docs = {
+        "broken": json.dumps(BROKEN),
+        "o3-cut-cover": _o3_doc(fixture_dir, _cut_2_minus),
+        "o3-flipped-sign": _o3_doc(fixture_dir, _flip_1_minus),
+    }
+    for name, doc in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(doc)
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr() == (VALIDATE_FAILURES[name], ""), name
+
+
+# one row per cell, which names every check that failed on it
+VALIDATE_FAILURES = {
+    "broken": """\
+1+: dim=1 spherical=True input=PASS output=PASS globular=None [ok]
+1-: dim=1 spherical=True input=PASS output=PASS globular=None [ok]
+2: dim=2 spherical=False input=FAIL output=FAIL globular=False [FAIL]
+broken: FAIL (0 unknown)
+""",
+    "o3-cut-cover": """\
+1+: dim=1 spherical=True input=PASS output=PASS globular=None [ok]
+1-: dim=1 spherical=True input=PASS output=PASS globular=None [ok]
+2+: dim=2 spherical=True input=PASS output=PASS globular=True [ok]
+2-: dim=2 spherical=False input=PASS output=FAIL globular=False [FAIL]
+3: dim=3 spherical=False input=PASS output=PASS globular=False [FAIL]
+O3: FAIL (0 unknown)
+""",
+    "o3-flipped-sign": """\
+1+: dim=1 spherical=True input=PASS output=PASS globular=None [ok]
+1-: dim=1 spherical=True input=FAIL output=FAIL globular=None [FAIL]
+2+: dim=2 spherical=False input=PASS output=PASS globular=False [FAIL]
+2-: dim=2 spherical=False input=PASS output=PASS globular=False [FAIL]
+3: dim=3 spherical=False input=PASS output=PASS globular=True [FAIL]
+O3: FAIL (0 unknown)
+""",
+}
 
 
 def test_cli_gray_rejects_invalid_factor(fixture_dir, tmp_path, capsys):

@@ -24,6 +24,7 @@ from pastekit import (
     u_cell,
 )
 from pastekit.fixtures import frob, power
+from pastekit.orders import is_k_order
 
 from conftest import random_2_molecule, random_molecule
 
@@ -83,6 +84,18 @@ def test_k_order_frob_is_deterministic():
     F = frob()
     seq = k_order(F.molecule, 2).sequence
     assert seq == (F["phi"], F["psi"])
+
+
+def test_k_orders_exist_from_level_0_to_below_the_dimension():
+    u = paste(u_cell(1, 1), u_cell(1, 1), 1)
+    assert k_order(u, 1).sequence == ("left/top", "right/top")
+    assert not is_k_order(u, 1, ("right/top", "left/top"))
+    for k in (-1, 2):
+        with pytest.raises(ValueError, match="k must be at least 0 and below the molecule dimension"):
+            k_order(u, k)
+    # the level -1 frame graph has no edges, which would let any order through
+    for seq in (("left/top", "right/top"), ("right/top", "left/top")):
+        assert not is_k_order(u, -1, seq)
 
 
 def test_frame_decomposition_two_factor():

@@ -17,6 +17,9 @@ only otherwise matches elements bottom-up through their covers;
 `ref_unique_iso` keeps the top-down search through cofaces, and the two must
 agree on the map, ``None`` or the "not unique" error, on pairs chosen to
 take both ways.
+`validate_complex` checks each cell from one sweep of its boundaries, so it
+is checked against `ref_validate`, which recomputes every boundary per level
+and sign, on every complex.
 Recognition, validation and graycat's precedences are remembered by each
 complex, so they are also checked on a complex whose memo is already full,
 on complexes derived from it, and on one complex shared by several
@@ -249,9 +252,11 @@ def index_boundaries(cx: Complex, members: frozenset[str], top: int) -> list[tup
 
 
 def index_atom_boundary(cx: Complex, x: str, n: int, sign: str | None = None) -> frozenset[str]:
-    """``_Index.atom_boundary`` of an element, as a member set."""
+    """One sign of the pair ``_Index.boundary`` gives for an element's closure,
+    or with ``sign`` omitted their union, as a member set."""
     ix = cx._index()
-    return ix.members(ix.atom_boundary(ix.pos[x], n, sign))
+    minus, plus = ix.boundary(ix.down[ix.pos[x]], n)
+    return ix.members(minus | plus if sign is None else minus if sign == MINUS else plus)
 
 
 def test_boundaries_match_per_call_boundary(enumerated):
@@ -951,6 +956,19 @@ def test_spherical_boundary_matches_the_per_level_reference(enumerated):
             assert spherical_boundary(cx, m) == want, (cx.name, sorted(m))
             seen.add(want)
     assert seen == {True, False}
+
+
+def test_validate_complex_matches_the_reference_on_every_complex():
+    seen = set()
+    for cx in COMPLEXES:
+        fresh = cx.relabel({})  # a new index, with no report kept
+        report = validate_complex(fresh)
+        assert report == ref_validate(fresh), cx.name
+        for c in report.checks:
+            seen |= {("spherical", c.spherical), ("input", c.input_molecule), ("output", c.output_molecule)}
+            seen.add(("globular", c.globular))
+    # every kind of failure occurs, on each side
+    assert {("spherical", False), ("input", "FAIL"), ("output", "FAIL"), ("globular", False)} <= seen
 
 
 def ref_wire_sequence(cx: Complex, wires: frozenset[str]) -> list[str]:
