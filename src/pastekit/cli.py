@@ -9,6 +9,7 @@ import argparse
 import functools
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from . import fixtures as fx
 from . import molecules as mol
@@ -170,8 +171,15 @@ def cmd_fixtures(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses an argument list in one line, ``prog: error: message``; its subparsers are of this class too."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="pastekit",
         description="Pasting-diagram combinatorics: validation, gluing, products, theories.",
     )
@@ -259,7 +267,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, StructureError) as exc:
         print(str(exc), file=sys.stderr)
         return USAGE_ERROR
-    except (mol.PastingError, mol.SubstitutionError, ValueError) as exc:
+    except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return SEMANTIC_ERROR
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .ogp import Complex, MINUS, PLUS, _lex_topo
+from .ogp import Complex, SIGNS, _lex_topo
 from . import molecules as mol
 from .orders import KOrder, is_k_order, k_order, maxd, normal_order_of_subset
 
@@ -110,10 +110,9 @@ def _in_support(rank: Mapping[str, int], cells: Iterable[str]) -> None:
             raise ExpressionError(f"{x!r} is not a cell of the support")
 
 
-def _atom_boundary_cells(cx: Complex, atom: str, sign: str) -> tuple[frozenset[str], tuple[str, ...]]:
-    cl = cx.closure([atom])
-    bd = cx.boundary(cl, 2, sign)
-    return bd, _precedence(cx, bd)[0]
+def _atom_boundary_cells(cx: Complex, atom: str) -> tuple[tuple[frozenset[str], tuple[str, ...]], ...]:
+    """The input and output 2-boundaries of a 3-cell, each with its cells in precedence order."""
+    return tuple((bd, _precedence(cx, bd)[0]) for bd in cx._boundary_pair(cx.closure([atom]), 2))
 
 
 def _swap(cx: Complex, nf: TwoCellNF, step: Interchange) -> TwoCellNF:
@@ -146,8 +145,7 @@ def apply_step(cx: Complex, nf: TwoCellNF, step: Step) -> TwoCellNF:
         return _swap(cx, nf, step)
     if step.atom not in cx or cx.dim_of(step.atom) != 3:
         raise ExpressionError(f"{step.atom!r} is not a 3-cell")
-    bm, bm_order = _atom_boundary_cells(cx, step.atom, MINUS)
-    bp, bp_order = _atom_boundary_cells(cx, step.atom, PLUS)
+    (bm, bm_order), (bp, bp_order) = _atom_boundary_cells(cx, step.atom)
     want = step.pre + bm_order + step.post
     if nf.order != want:
         raise ExpressionError(
@@ -256,7 +254,7 @@ def _thread(
     steps: list[Step] = []
     cur = source
     for atom in atoms:
-        _, bm_order = _atom_boundary_cells(cx, atom, MINUS)
+        (_, bm_order), _ = _atom_boundary_cells(cx, atom)
         block = frozenset(bm_order)
         if not block <= set(cur.order):
             raise ExpressionError(f"input cells of {atom!r} are not available")
@@ -291,7 +289,7 @@ def _interpretation(
 ) -> GrayExpr3:
     """Thread ``atoms`` between the canonically ordered 2-boundaries of ``u``."""
     cx = u.complex
-    bm, bp = (cx.boundary(u.members, 2, sign) for sign in (MINUS, PLUS))
+    bm, bp = cx._boundary_pair(u.members, 2)
     source = TwoCellNF(bm, _precedence(cx, bm)[0])
     target = TwoCellNF(bp, _precedence(cx, bp)[0])
     return GrayExpr3(cx, source, _thread(cx, source, atoms, target, context))
@@ -391,8 +389,8 @@ def four_cell_equation(u: mol.Molecule) -> Equation:
     if u.dim != 4 or len(tops) != 1:
         raise ExpressionError("expected a molecule with exactly one 4-cell")
     sides = []
-    for sign in (MINUS, PLUS):
-        bd = mol.recognize(cx, cx.boundary(u.members, 3, sign))
+    for sign, bd in zip(SIGNS, cx._boundary_pair(u.members, 3)):
+        bd = mol.recognize(cx, bd)
         if bd is None or bd is mol.UNKNOWN:
             raise ExpressionError(f"{sign}3-boundary did not recognise as a molecule")
         sides.append(interpret(bd))

@@ -343,8 +343,8 @@ def _sphere_iso(
     where they meet.
     """
     iso: dict[str, str] = {}
-    for sign in SIGNS:
-        a, b = u.boundary(k, sign), v.boundary(k, sign)
+    pairs = zip(SIGNS, u.complex._boundary_pair(u.members, k), v.complex._boundary_pair(v.members, k))
+    for sign, a, b in pairs:
         part = unique_iso((u.complex, a), (v.complex, b))
         if part is None:
             raise differ(sign, _mismatch(u.complex, a, v.complex, b))
@@ -371,10 +371,11 @@ def _paste_all(us: list[Molecule], k: int, name: str | None = None) -> Molecule:
 
     The factors must be molecules.  Since the output k-boundary of ``U #k V``
     is that of ``V``, each factor is matched only with the factor before it,
-    on their own boundaries.  An element first seen in factor i takes the id
-    the fold gives it, ``left/`` once per later factor and then ``right/``
-    unless i is 0; an identified element takes the id of its match.  The
-    complex is called ``name``, by default the fold's nested ``(…#k…)``.
+    on their own boundaries, both of which one call gives.  An element first
+    seen in factor i takes the id the fold gives it, ``left/`` once per later
+    factor and then ``right/`` unless i is 0; an identified element takes the
+    id of its match.  The complex is called ``name``, by default the fold's
+    nested ``(…#k…)``.
     """
     if len(us) == 1:
         return us[0]
@@ -387,9 +388,9 @@ def _paste_all(us: list[Molecule], k: int, name: str | None = None) -> Molecule:
     cert: Atom | Pasting | None = None
     for i, u in enumerate(us):
         ident: dict[str, str] = {}
+        b2, out = u.complex._boundary_pair(u.members, k)
         if i:
             prev = us[i - 1]
-            b1, b2 = prev.boundary(k, PLUS), u.boundary(k, MINUS)
             iso = unique_iso((prev.complex, b1), (u.complex, b2))
             if iso is None:
                 raise PastingError(
@@ -398,6 +399,7 @@ def _paste_all(us: list[Molecule], k: int, name: str | None = None) -> Molecule:
                 )
             ident = {y: maps[-1][x] for x, y in iso.items()}
             nested = f"({nested}#{k}{u.complex.name})"
+        b1 = out
         prefix = "left/" * (last - i) + ("right/" if i else "")
         rename = {x: ident[x] if x in ident else prefix + x for x in u.members}
         _copy_into(table, u.complex, u.members, rename, ident)
@@ -471,9 +473,10 @@ def _cap(
     cx = Complex(name or f"({lcx.name}=>{rcx.name})", table)
     # sanity: the new top's boundaries are the two halves
     cl = cx.whole()
-    if cx.boundary(cl, n, MINUS) != frozenset(left_map.values()):
+    minus, plus = cx._boundary_pair(cl, n)
+    if minus != frozenset(left_map.values()):
         raise RuntimeError("cell_to: input boundary does not reproduce the source")
-    if cx.boundary(cl, n, PLUS) != frozenset(right_map.values()):
+    if plus != frozenset(right_map.values()):
         raise RuntimeError("cell_to: output boundary does not reproduce the target")
     return Molecule(cx, cl, Atom("top"), left_map, right_map)
 
@@ -490,7 +493,7 @@ def compos(u: Molecule, name: str | None = None) -> Molecule:
     n = u.dim
     if n == 0:
         return u
-    lo, hi = u.boundary(n - 1, MINUS), u.boundary(n - 1, PLUS)
+    lo, hi = u.complex._boundary_pair(u.members, n - 1)
     return _cap(u.complex, lo, u.complex, hi, {x: x for x in lo & hi}, n - 1, name)
 
 
@@ -547,9 +550,7 @@ def substitute(u: Molecule, v_members: frozenset[str], w: Molecule, name: str | 
         raise SubstitutionError("substitution result is not a molecule (site was not a submolecule)")
     if res is UNKNOWN:
         raise SubstitutionError("substitution result not recognised (dimension above 3)")
-    for sign in SIGNS:
-        old = cx.boundary(u.members, n - 1, sign)
-        new = out.boundary(out.whole(), n - 1, sign)
+    for old, new in zip(cx._boundary_pair(u.members, n - 1), out._boundary_pair(out.whole(), n - 1)):
         if unique_iso((cx, old), (out, new)) is None:
             raise SubstitutionError("substitution changed the outer boundary")
     return Molecule(out, out.whole(), res.certificate, left_map, right_map)

@@ -381,12 +381,13 @@ class Complex:
     downset, cover and signed coface masks.  ``cofaces`` and ``by_dim`` are
     read from that index.  Closures, boundaries, source sets, maximal
     elements and closedness are mask arithmetic on it, behind signatures
-    that take and return ``frozenset`` ids; ``boundary`` computes both signs
-    at once and returns the one asked for, or their union.  The index
-    also caches each cell's input and output boundaries off its rim, which
-    frame graphs are built from, the result of each finished recognition
-    search, `validate_complex`'s checks and graycat's precedences; that only
-    saves recomputation, and there is no other cache.
+    that take and return ``frozenset`` ids; ``_boundary_pair`` computes
+    both signs of a boundary in one pass, for callers that need both, and
+    ``boundary`` answers one sign or their union from it.  The index also
+    caches each cell's input and output boundaries off its rim, which frame
+    graphs are built from, the result of each finished recognition search,
+    `validate_complex`'s checks and graycat's precedences; that only saves
+    recomputation, and there is no other cache.
     """
 
     __slots__ = ("name", "_dim", "_covers", "_ids", "_top_dim", "_ix")
@@ -507,12 +508,15 @@ class Complex:
         With ``sign`` omitted, the union over both signs; with ``n`` omitted,
         ``dim(members) - 1``.
         """
+        minus, plus = self._boundary_pair(members, n)
+        return minus | plus if sign is None else minus if sign == MINUS else plus
+
+    def _boundary_pair(self, members: frozenset[str], n: int | None) -> tuple[frozenset[str], frozenset[str]]:
+        """The input and output n-boundaries of a closed subset, from one pass."""
         ix = self._index()
         m = ix.mask(members)
-        if n is None:
-            n = ix.dim(m) - 1
-        minus, plus = ix.boundary(m, n)
-        return ix.members(minus | plus if sign is None else minus if sign == MINUS else plus)
+        minus, plus = ix.boundary(m, ix.dim(m) - 1 if n is None else n)
+        return ix.members(minus), ix.members(plus)
 
     def whole(self) -> frozenset[str]:
         return frozenset(self._ids)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .ogp import Complex, MINUS, PLUS, flip, validate_complex
+from .ogp import Complex, SIGNS, flip, validate_complex
 
 BASEPOINT = "•"
 
@@ -75,9 +75,8 @@ def gray_projections(
             cl = pq.closure([e])
             tcl = target.closure([proj[e]])
             for n in range(pq.dim_of(e) + 1):
-                for sign in (MINUS, PLUS):
-                    image = {proj[z] for z in pq.boundary(cl, n, sign)}
-                    if image != set(target.boundary(tcl, n, sign)):
+                for sign, got, want in zip(SIGNS, pq._boundary_pair(cl, n), target._boundary_pair(tcl, n)):
+                    if {proj[z] for z in got} != want:
                         raise ProductError(
                             f"projection breaks the {sign}{n}-boundary at {e!r}"
                         )

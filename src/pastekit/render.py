@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .ogp import Complex, MINUS, PLUS
+from .ogp import Complex, MINUS
 from .orders import MaxdGraph, normal_order_of_subset
 from .products import BASEPOINT, LabelledComplex
 
@@ -82,9 +82,7 @@ def export_svg_2diagram(
     layers = [layer]
     placements = []
     for cell in cells:
-        cl = cx.closure([cell])
-        ins = _wire_sequence(cx, cx.boundary(cl, 1, MINUS))
-        outs = _wire_sequence(cx, cx.boundary(cl, 1, PLUS))
+        ins, outs = (_wire_sequence(cx, side) for side in cx._boundary_pair(cx.closure([cell]), 1))
         if ins:
             pos = layer.index(ins[0])
         else:

@@ -14,7 +14,7 @@ import json
 from typing import Any, Mapping
 
 from .ogp import Complex, SIGNS
-from .products import LabelledComplex
+from .products import LabelledComplex, ProductError
 from .theories import (
     Braid,
     BraidInv,
@@ -26,12 +26,13 @@ from .theories import (
     ProPresentation,
     Relation,
     Slice,
+    TheoryError,
 )
 from .graycat import GenApp, GrayExpr3, Interchange, TwoCellNF
 
 
 class ParseError(ValueError):
-    pass
+    """A document that is malformed, or that describes a presentation or labelled complex failing its own check."""
 
 
 def _dump(doc: Any) -> bytes:
@@ -210,7 +211,10 @@ def parse_labelled(data: bytes | str) -> LabelledComplex:
     labels = extra.get("labels")
     if labels is None:
         raise ParseError("labelled complex needs a 'labels' map")
-    return LabelledComplex(cx, dict(labels))
+    try:
+        return LabelledComplex(cx, dict(labels))
+    except ProductError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 # -- presentations ---------------------------------------------------------------
@@ -306,7 +310,10 @@ def parse_presentation(data: bytes | str) -> ProPresentation:
         flags.get("braided", False),
         flags.get("symmetric", False),
     )
-    p.check_relations()
+    try:
+        p.check_relations()
+    except TheoryError as exc:
+        raise ParseError(str(exc)) from exc
     return p
 
 
@@ -338,6 +345,8 @@ def parse_diag_presentation(data: bytes | str) -> DiagComplexPresentation:
         return DiagComplexPresentation(_str(doc.get("name", "presentation"), "presentation name"), tuple(cells))
     except (TypeError, KeyError) as exc:
         raise ParseError(f"malformed diagrammatic presentation: {exc}") from exc
+    except ProductError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 # -- expressions -----------------------------------------------------------------

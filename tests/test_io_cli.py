@@ -353,8 +353,43 @@ def test_parse_diag_presentation_rejects_mistyped_cells(field, value):
         parse_diag_presentation(json.dumps(doc))
 
 
-def test_cli_usage_error():
-    assert main(["no-such-command"]) == 2
+def test_cli_usage_error(capsys):
+    """A refused argument list is one line on stderr, not the usage and the error."""
+    for argv, message in [
+        (["validate"], "pastekit validate: error: the following arguments are required: file"),
+        (["no-such-command"], "pastekit: error: argument command: invalid choice: 'no-such-command'"),
+        (["validate", "a.json", "b.json"], "pastekit: error: unrecognized arguments: b.json"),
+    ]:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(message) and captured.err.count("\n") == 1, argv
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["validate", "--help"]])
+def test_cli_help_exits_0(capsys, argv):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: pastekit") and captured.err == ""
+
+
+@pytest.mark.parametrize(
+    "base, edit, command, message",
+    [
+        ("mon.json", lambda doc: _set(doc, SLICE + ["op"], {"gen": "zz"}), ["tensor", "{f}", "{d}/comon.json"],
+         "unknown generator 'zz'"),
+        ("o1.json", lambda doc: doc.update(labels={"0-": "x", "0+": "x"}), ["smash", "{f}", "{f}"],
+         "O1: unlabelled elements ['1']"),
+    ],
+    ids=["tensor-unknown-generator", "smash-unlabelled-element"],
+)
+def test_cli_documents_failing_their_own_check_exit_2(fixture_dir, tmp_path, capsys, base, edit, command, message):
+    doc = json.loads((fixture_dir / base).read_bytes())
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main([arg.format(f=path, d=fixture_dir) for arg in command]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message + "\n")
 
 
 def test_cli_main_reuses_its_parser_without_carrying_state(fixture_dir, capsys):

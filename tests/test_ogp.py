@@ -193,13 +193,18 @@ def test_negative_levels_hold_no_elements():
         lambda cx, m: cx.closure(m),
         lambda cx, m: cx.maximal(m),
         lambda cx, m: cx.boundary(m, 0, MINUS),
+        lambda cx, m: cx.boundary(m),
+        lambda cx, m: cx._boundary_pair(m, 0),
         lambda cx, m: cx.is_closed(m),
         lambda cx, m: cx.source_set(m, 0, PLUS),
         lambda cx, m: recognize(cx, m),
         lambda cx, m: maxd(cx, m, 0),
         lambda cx, m: frame_dimension(cx, m),
     ],
-    ids=["closure", "maximal", "boundary", "is_closed", "source_set", "recognize", "maxd", "frame_dimension"],
+    ids=[
+        "closure", "maximal", "boundary", "boundary-n-omitted", "boundary-pair", "is_closed", "source_set", "recognize",
+        "maxd", "frame_dimension",
+    ],
 )
 def test_unknown_ids_raise_a_key_error_naming_the_complex(call):
     o2 = globe(2)

@@ -510,6 +510,7 @@ def test_public_boundary_matches_the_reference_for_every_level_and_sign(enumerat
                     assert cx.boundary(m, n, s) == want[s]
                 assert cx.boundary(m, n) == want[MINUS] | want[PLUS]
                 assert cx.boundary(m, n, None) == want[MINUS] | want[PLUS]
+                assert cx._boundary_pair(m, n) == (want[MINUS], want[PLUS])
 
 
 def test_masks_and_ids_round_trip():
