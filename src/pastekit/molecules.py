@@ -14,13 +14,13 @@ search per subset on an explicit stack, so its depth does not grow; a
 such a path.  `unique_iso` pairs two subsets along the one topological order
 of their oriented Hasse graphs, and searches only when they have none.
 
-Pasting has one path: `_paste_all` pastes a whole sequence at one level
-in a single element table, giving every element the id that folding
-`paste` over the sequence would, and `paste` is its two-factor case
-(``left/x``, ``right/y``, matched boundary elements keep their left id).
-`cell_to`, `compos` and `substitute` share one gluing step, `_glue`: keep
-a subset of each side, identify right elements with left ones, and rename
-the rest ``left/x`` and ``right/y``.
+Gluing has one table builder, `_glue`: it keeps a subset of each part,
+identifies elements of a part with elements of the part before, and gives
+the rest the id that gluing the parts two at a time, left to right, would
+(``left/x``, ``right/y``; matched elements keep their left id).
+`_paste_all` pastes a whole sequence at one level with one `_glue` call,
+and `paste` is its two-factor case; `cell_to`, `compos` and `substitute`
+glue two parts with it.
 """
 from __future__ import annotations
 
@@ -59,17 +59,41 @@ class Atom:
     top: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Pasting:
     """Certificate node: ``left`` pasted to ``right`` along their k-boundary.
 
     The halves are certificates over the same atom ids, not molecule
-    handles; their member sets are derived by `certificate_ok`.
+    handles; their member sets are derived by `certificate_ok`.  Equality,
+    hash and repr walk the tree without recursion, so a chain's
+    certificate may be as deep as the chain.
     """
 
     k: int
     left: "Atom | Pasting"
     right: "Atom | Pasting"
+
+    def _prefix(self) -> list:
+        """The nodes in prefix order, each atom as itself and each pasting as
+        its k; a pasting has two halves and an atom none, so this list
+        determines the tree."""
+        return _fold(self, lambda a: [a], lambda p, left, right: [p.k, *left, *right])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Pasting):
+            return NotImplemented
+        return self is other or self._prefix() == other._prefix()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._prefix()))
+
+    def __repr__(self) -> str:
+        # the fold yields pieces, joined once, so the text of a deep chain's
+        # halves is not copied again at every node
+        pieces = _fold(
+            self, lambda a: [repr(a)], lambda p, left, right: [f"Pasting(k={p.k}, left=", *left, ", right=", *right, ")"]
+        )
+        return "".join(pieces)
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,30 +318,28 @@ def unique_iso(
 # -- gluing constructors -------------------------------------------------------
 
 
-def _glue(
-    lcx: Complex, lkeep: frozenset[str], rcx: Complex, rkeep: frozenset[str], ident: Mapping[str, str]
-) -> tuple[dict, dict[str, str], dict[str, str]]:
-    """The element table of two kept subsets glued along ``ident`` (right id -> left id).
+def _glue(parts: list[tuple[Complex, frozenset[str], Mapping[str, str]]]) -> tuple[dict, list[dict[str, str]]]:
+    """The element table of kept subsets glued in sequence, and each part's origin map.
 
-    Left elements become ``left/x``; right elements become ``right/y`` unless
-    ``ident`` identifies them with a left element, whose id they take.  Each
-    element keeps its covers, in order, that lie inside its kept subset.
-    Returns the table and the two origin maps.
+    ``parts`` lists ``(complex, kept members, ident)``, where ``ident`` maps
+    an element of the part to the element of the previous part it is
+    identified with, whose new id it takes.  Any other element of part i
+    takes the id that gluing the parts two at a time, left to right, gives
+    it: ``left/`` once for each later part, then ``right/`` unless i is 0.
+    Each element keeps its covers, in order, that lie inside its kept subset.
     """
-    left_map = {x: f"left/{x}" for x in lkeep}
-    right_map = {y: f"left/{ident[y]}" if y in ident else f"right/{y}" for y in rkeep}
-    table: dict = {}
-    _copy_into(table, lcx, lkeep, left_map, {})
-    _copy_into(table, rcx, rkeep, right_map, ident)
-    return table, left_map, right_map
-
-
-def _copy_into(table: dict, cx: Complex, keep: frozenset[str], rename: Mapping[str, str], skip: Mapping) -> None:
-    """Add each element of ``keep`` not in ``skip`` to ``table`` under its new
-    id, with its covers, in order, that lie inside ``keep``."""
-    for x in keep:
-        if x not in skip:
-            table[rename[x]] = (cx.dim_of(x), [(rename[t], s) for t, s in cx.covers(x) if t in keep])
+    last = len(parts) - 1
+    table: dict[str, tuple[int, list[tuple[str, str]]]] = {}
+    maps: list[dict[str, str]] = []
+    for i, (cx, keep, ident) in enumerate(parts):
+        prefix = "left/" * (last - i) + ("right/" if i else "")
+        prev = maps[-1] if maps else {}
+        rename = {x: prev[ident[x]] if x in ident else prefix + x for x in keep}
+        for x in keep:
+            if x not in ident:
+                table[rename[x]] = (cx.dim_of(x), [(rename[t], s) for t, s in cx.covers(x) if t in keep])
+        maps.append(rename)
+    return table, maps
 
 
 def _mismatch(acx: Complex, a: frozenset[str], bcx: Complex, b: frozenset[str]) -> str:
@@ -371,43 +393,35 @@ def _paste_all(us: list[Molecule], k: int, name: str | None = None) -> Molecule:
 
     The factors must be molecules.  Since the output k-boundary of ``U #k V``
     is that of ``V``, each factor is matched only with the factor before it,
-    on their own boundaries, both of which one call gives.  An element first
-    seen in factor i takes the id the fold gives it, ``left/`` once per later
-    factor and then ``right/`` unless i is 0; an identified element takes the
-    id of its match.  The complex is called ``name``, by default the fold's
-    nested ``(…#k…)``.
+    on their own boundaries, both of which one call gives; one `_glue` table
+    then gives every element the id the fold gives it.  The complex is
+    called ``name``, by default the fold's nested ``(…#k…)``.
     """
     if len(us) == 1:
         return us[0]
     if k < 0:
         raise PastingError("pasting dimension must be >= 0")
-    last = len(us) - 1
-    table: dict[str, tuple[int, list[tuple[str, str]]]] = {}
-    maps: list[dict[str, str]] = []
-    nested = us[0].complex.name
-    cert: Atom | Pasting | None = None
-    for i, u in enumerate(us):
-        ident: dict[str, str] = {}
+    first = us[0]
+    nested = first.complex.name
+    b1 = first.complex._boundary_pair(first.members, k)[1]
+    parts = [(first.complex, first.members, {})]
+    for prev, u in zip(us, us[1:]):
         b2, out = u.complex._boundary_pair(u.members, k)
-        if i:
-            prev = us[i - 1]
-            iso = unique_iso((prev.complex, b1), (u.complex, b2))
-            if iso is None:
-                raise PastingError(
-                    f"cannot paste {nested} and {u.complex.name} at {k}: "
-                    f"boundaries not isomorphic ({_mismatch(prev.complex, b1, u.complex, b2)})"
-                )
-            ident = {y: maps[-1][x] for x, y in iso.items()}
-            nested = f"({nested}#{k}{u.complex.name})"
+        iso = unique_iso((prev.complex, b1), (u.complex, b2))
+        if iso is None:
+            raise PastingError(
+                f"cannot paste {nested} and {u.complex.name} at {k}: "
+                f"boundaries not isomorphic ({_mismatch(prev.complex, b1, u.complex, b2)})"
+            )
+        parts.append((u.complex, u.members, {y: x for x, y in iso.items()}))
+        nested = f"({nested}#{k}{u.complex.name})"
         b1 = out
-        prefix = "left/" * (last - i) + ("right/" if i else "")
-        rename = {x: ident[x] if x in ident else prefix + x for x in u.members}
-        _copy_into(table, u.complex, u.members, rename, ident)
-        maps.append(rename)
-        renamed = _rename(u.certificate, rename)
-        cert = renamed if cert is None else Pasting(k, cert, renamed)
+    table, maps = _glue(parts)
+    cert = _rename(first.certificate, maps[0])
+    for u, rename in zip(us[1:], maps[1:]):
+        cert = Pasting(k, cert, _rename(u.certificate, rename))
     cx = Complex(name or nested, table)
-    # the fold's last step pasted the first ``last`` factors, whose ids then lacked one ``left/``
+    # the fold's last step pasted all factors but the last, whose ids then lacked one ``left/``
     left_map = {y[len("left/"):]: y for m in maps[:-1] for y in m.values()}
     return Molecule(cx, cx.whole(), cert, left_map, maps[-1])
 
@@ -464,7 +478,7 @@ def _cap(
     """The atom ``top`` of dimension n+1 over the n-molecules ``lo`` and ``hi``
     glued along ``ident`` (right id -> left id), checked to have them as its
     input and output boundary; the complex is named ``(lcx=>rcx)`` by default."""
-    table, left_map, right_map = _glue(lcx, lo, rcx, hi, ident)
+    table, (left_map, right_map) = _glue([(lcx, lo, {}), (rcx, hi, ident)])
     top_cov = [(left_map[x], MINUS) for x in sorted(lo) if lcx.dim_of(x) == n]
     top_cov += [(right_map[y], PLUS) for y in sorted(hi) if rcx.dim_of(y) == n and y not in ident]
     if not top_cov:
@@ -540,7 +554,7 @@ def substitute(u: Molecule, v_members: frozenset[str], w: Molecule, name: str | 
         interior = frozenset()
         v_boundary = v_members
     kept = (u.members - v_members) | v_boundary
-    table, left_map, right_map = _glue(cx, kept, w.complex, w.members, iso)
+    table, (left_map, right_map) = _glue([(cx, kept, {}), (w.complex, w.members, iso)])
     try:
         out = Complex(name or f"{cx.name}[sub]", table)
     except ValueError as exc:

@@ -495,12 +495,12 @@ class Complex:
     def source_set(self, members: frozenset[str], n: int, sign: str) -> frozenset[str]:
         """n-dimensional members all of whose covering members carry ``sign``.
 
-        Members of dimension n with no covering member at all are included.
+        Members of dimension n with no covering member at all are included:
+        the n-dimensional part of `_Index.sources`.
         """
         ix = self._index()
-        m = ix.mask(members)
-        against = ix.cofaces[flip(sign)]
-        return frozenset(x for x in ix.members(m & ix.below(n + 1) & ~ix.below(n)) if not against[ix.pos[x]] & m)
+        minus, plus = ix.sources(ix.mask(members), n)
+        return ix.members((plus if flip(sign) == MINUS else minus) & ~ix.below(n))
 
     def boundary(self, members: frozenset[str], n: int | None = None, sign: str | None = None) -> frozenset[str]:
         """The input (``-``) or output (``+``) n-boundary of a closed subset.

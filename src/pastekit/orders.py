@@ -8,12 +8,18 @@ k-orders come from the one lexicographic Kahn sort, `ogp._lex_topo`, through
 `_Index.frame_order`.  The Hasse-graph order of `totally_loop_free` is the
 one totality test, `ogp._unique_topo`, which `molecules.unique_iso` also
 reads.  `_frame_loops` tests a frame graph for a cycle without ordering it.
+
+Reachability on id-keyed graphs has one walk, `_reached`: it maps each
+vertex reached from a set of sources to the vertex it was reached from.
+Frame-graph and Hasse-graph reach sets, the cells above a slice's cut, and
+the blocking frame paths of `check_sim_substitution` are all read off it.
+`_find_cycle` keeps its own colouring, which reports a cycle in one pass.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .ogp import Complex, _Index, _unique_topo
 from . import molecules as mol
@@ -52,17 +58,20 @@ def _find_cycle(adj: dict[str, tuple[str, ...]]) -> tuple[str, ...] | None:
     return None
 
 
-def _reachable(adj: dict[str, tuple[str, ...]], src: str) -> frozenset[str]:
-    """Vertices reachable from ``src``; ``src`` itself only when it has a loop."""
-    seen = {src}
-    stack = [src]
+def _reached(adj: Mapping[str, Sequence[str]], sources: Iterable[str]) -> dict[str, str]:
+    """Every vertex reachable from ``sources`` along one or more edges, mapped
+    to the vertex it was first reached from, in the order a depth-first
+    search on a stack finds them; a source is included only when it lies on
+    a cycle."""
+    prev: dict[str, str] = {}
+    stack = list(sources)
     while stack:
         v = stack.pop()
         for w in adj.get(v, ()):
-            if w not in seen:
-                seen.add(w)
+            if w not in prev:
+                prev[w] = v
                 stack.append(w)
-    return frozenset(seen - {src}) | (frozenset({src}) if src in adj.get(src, ()) else frozenset())
+    return prev
 
 
 @dataclass(frozen=True)
@@ -82,7 +91,8 @@ class MaxdGraph:
         return self.find_cycle() is None
 
     def reachable(self, src: str) -> frozenset[str]:
-        return _reachable(self.adjacency, src)
+        """The vertices reachable from ``src``; ``src`` itself only when it lies on a cycle."""
+        return frozenset(_reached(self.adjacency, (src,)))
 
 
 @dataclass(frozen=True)
@@ -285,7 +295,7 @@ class LoopFreeReport:
     def reach(self) -> dict[str, frozenset[str]] | None:
         if not self.acyclic:
             return None
-        return {v: _reachable(self.adjacency, v) for v in self.adjacency}
+        return {v: frozenset(_reached(self.adjacency, (v,))) for v in self.adjacency}
 
     def preceq(self, x: str, y: str) -> bool:
         if not self.acyclic:
@@ -346,17 +356,12 @@ def slice_decomposition(u: mol.Molecule, i: mol.Molecule) -> tuple[mol.Molecule,
             raise ValueError("a 1-molecule is only cut along itself")
         return u, u
     rep = totally_loop_free(cx, u.members)
-    if rep.reach is None:
+    if not rep.acyclic:
         raise RuntimeError("molecule precedence loops")
     # a cell is above the cut iff some cut wire feeds into it; the cut's
     # endpoint vertices are shared with everything and say nothing
     cut_wires = [w for w in i.members if cx.dim_of(w) == 1]
-    above_cells = set()
-    for x in u.members:
-        if cx.dim_of(x) != 2:
-            continue
-        if any(x in rep.reach[w] for w in cut_wires):
-            above_cells.add(x)
+    above_cells = {x for x in _reached(rep.adjacency, cut_wires) if cx.dim_of(x) == 2}
     below_cells = {x for x in u.members if cx.dim_of(x) == 2} - above_cells
     below = cx.closure(below_cells) | i.members
     above = cx.closure(above_cells) | i.members
@@ -390,26 +395,14 @@ def _blocking_path(cx: Complex, members: frozenset[str], part: frozenset[str], n
     part_tops = [x for x in g.high if x in part]
     outside = frozenset(g.adjacency) - part
     for src in part_tops:
-        prev: dict[str, str] = {}
-        stack = [src]
-        seen = {src}
-        while stack:
-            v = stack.pop()
-            for w in sorted(g.adjacency.get(v, ())):
-                if w in seen:
-                    continue
-                seen.add(w)
-                prev[w] = v
-                if w in part_tops and w != src:
-                    path = [w]
-                    x = w
-                    while x != src:
-                        x = prev[x]
-                        path.append(x)
-                    path.reverse()
-                    if any(p in outside for p in path):
-                        return tuple(path)
-                stack.append(w)
+        prev = _reached(g.adjacency, (src,))
+        for w in prev:
+            if w in part_tops and w != src:
+                path = [w]
+                while path[-1] != src:
+                    path.append(prev[path[-1]])
+                if any(p in outside for p in path):
+                    return tuple(reversed(path))
     return None
 
 

@@ -20,14 +20,10 @@ def _quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def export_dot(cx: Complex) -> str:
-    lines = [f"digraph {_quote(cx.name)} {{", "  rankdir=BT;"]
-    for n in range(cx.dim + 1):
-        ids = cx.by_dim(n)
-        if not ids:
-            continue
-        lines.append("  { rank=same; " + " ".join(_quote(x) + ";" for x in ids) + " }")
-    adj = cx.oriented_hasse()
+def _dot(name: str, head: list[str], adj: Mapping[str, tuple[str, ...]]) -> str:
+    """A DOT digraph: the header lines ``head``, then one line per edge of
+    ``adj``, sources in sorted order; both DOT exports write through it."""
+    lines = [f"digraph {_quote(name)} {{", *head]
     for v in sorted(adj):
         for w in adj[v]:
             lines.append(f"  {_quote(v)} -> {_quote(w)};")
@@ -35,17 +31,15 @@ def export_dot(cx: Complex) -> str:
     return "\n".join(lines) + "\n"
 
 
+def export_dot(cx: Complex) -> str:
+    # grading leaves no dimension below the top empty
+    ranks = [" ".join(["  { rank=same;", *(_quote(x) + ";" for x in cx.by_dim(n)), "}"]) for n in range(cx.dim + 1)]
+    return _dot(cx.name, ["  rankdir=BT;", *ranks], cx.oriented_hasse())
+
+
 def export_dot_maxd(g: MaxdGraph, name: str = "maxd") -> str:
-    lines = [f"digraph {_quote(name)} {{"]
-    for v in g.low:
-        lines.append(f"  {_quote(v)} [shape=ellipse];")
-    for v in g.high:
-        lines.append(f"  {_quote(v)} [shape=box];")
-    for v in sorted(g.adjacency):
-        for w in g.adjacency[v]:
-            lines.append(f"  {_quote(v)} -> {_quote(w)};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    shapes = [f"  {_quote(v)} [shape=ellipse];" for v in g.low] + [f"  {_quote(v)} [shape=box];" for v in g.high]
+    return _dot(name, shapes, g.adjacency)
 
 
 # -- string-diagram SVG ------------------------------------------------------------

@@ -193,20 +193,28 @@ def sigma_expr(s: Permutation, w: Sequence[str]) -> Layered2Cell:
 
 def sigma_star_expr(s: Permutation, w: Sequence[str]) -> Layered2Cell:
     """The inverse-crossing realisation: the formal inverse of the positive
-    word for the inverse permutation."""
+    word for the inverse permutation t, on the word whose image under t is
+    ``w``, so that it reads back from ``w``."""
     if s.n != len(w):
         raise TheoryError("permutation and word lengths differ")
-    forward = sigma_expr(s.inverse(), tuple(w[s(j) - 1] for j in range(1, s.n + 1)))
-    # invert: reverse the slices and flip every crossing
-    word = tuple(w)
+    t = s.inverse()
+    return _reversed(sigma_expr(t, tuple(w[t(j) - 1] for j in range(1, t.n + 1))), {}, {})
+
+
+def _reversed(
+    cell: Layered2Cell, signatures: Mapping[str, tuple[Word, Word]], rename: Mapping[str, str]
+) -> Layered2Cell:
+    """``cell`` read backwards from its target: the slices in reverse order,
+    each crossing inverted and each generator renamed through ``rename``."""
     slices = []
-    for sl in reversed(forward.slices):
-        assert isinstance(sl.op, Braid)
-        k = len(sl.pre)
-        a, b = word[k], word[k + 1]
-        slices.append(Slice(word[:k], BraidInv(a, b), word[k + 2 :]))
-        word = word[:k] + (b, a) + word[k + 2 :]
-    return Layered2Cell(tuple(w), tuple(slices))
+    for s in reversed(cell.slices):
+        op = s.op
+        if isinstance(op, GenRef):
+            op = GenRef(rename.get(op.name, op.name))
+        else:
+            op = (BraidInv if isinstance(op, Braid) else Braid)(op.b, op.a)
+        slices.append(Slice(s.pre, op, s.post))
+    return Layered2Cell(cell.target(signatures), tuple(slices))
 
 
 def wire_permutation(e: Layered2Cell) -> Permutation:
@@ -285,29 +293,11 @@ class ProPresentation:
 def pro_dual(p: ProPresentation, rename: Mapping[str, str] | None = None) -> ProPresentation:
     """Reverse all operations: inputs and outputs swap, relation stacks flip."""
     rename = rename or {}
-
-    def nm(x: str) -> str:
-        return rename.get(x, x)
-
-    gens = tuple(GenOp(nm(g.name), g.outputs, g.inputs) for g in p.generators)
-
+    gens = tuple(GenOp(rename.get(g.name, g.name), g.outputs, g.inputs) for g in p.generators)
     sig = p.signatures()
-
-    def flip_cell(c: Layered2Cell) -> Layered2Cell:
-        word = c.target(sig)
-        slices = []
-        for s in reversed(c.slices):
-            if isinstance(s.op, GenRef):
-                op: Op = GenRef(nm(s.op.name))
-            elif isinstance(s.op, Braid):
-                op = BraidInv(s.op.b, s.op.a)
-            else:
-                op = Braid(s.op.b, s.op.a)
-            slices.append(Slice(s.pre, op, s.post))
-        return Layered2Cell(word, tuple(slices))
-
     rels = tuple(
-        Relation(nm(r.name), flip_cell(r.lhs), flip_cell(r.rhs)) for r in p.relations
+        Relation(rename.get(r.name, r.name), _reversed(r.lhs, sig, rename), _reversed(r.rhs, sig, rename))
+        for r in p.relations
     )
     return ProPresentation(f"{p.name}^co", p.sorts, gens, rels, p.braided, p.symmetric)
 
@@ -553,22 +543,12 @@ def _mon_presentation() -> ProPresentation:
     return p
 
 
-def _label_molecule(m, special=None, top=None):
-    """Vertices get the basepoint, wires the sort, with overrides."""
+def _label_molecule(m, special):
+    """Vertices get the basepoint, wires the sort and 2-cells μ, unless
+    ``special`` labels them; it must label every cell above dimension 2."""
     cx = m.complex
-    labels = {}
-    special = special or {}
-    for x in m.members:
-        if x in special:
-            labels[x] = special[x]
-        elif cx.dim_of(x) == 0:
-            labels[x] = BASEPOINT
-        elif cx.dim_of(x) == 1:
-            labels[x] = "1"
-        elif cx.dim_of(x) == 2:
-            labels[x] = "μ"
-        else:
-            labels[x] = top
+    defaults = (BASEPOINT, "1", "μ")
+    labels = {x: special[x] if x in special else defaults[cx.dim_of(x)] for x in m.members}
     return LabelledComplex(cx.restrict(m.members), labels)
 
 

@@ -304,10 +304,16 @@ SLICE = ["relations", 0, "lhs", "slices", 0]
         (SLICE + ["post"], "1", "post"),
         (SLICE + ["op"], {"braid": "11"}, "braid"),
         (SLICE + ["op"], {"braidInv": ["1", "1", "1"]}, "braidInv"),
+        (SLICE + ["op"], {"twist": ["1", "1"]}, "unknown op"),
+        (["relations", 0, "lhs"], 5, "malformed layered cell 5"),
+        (["generators"], "μ", "expected an object with a 'generators' list"),
+        (["generators", 0], {"in": ["1", "1"], "out": ["1"]}, "malformed generator"),
+        (["relations", 0], {"name": "α"}, "relation without 'lhs'"),
     ],
     ids=[
         "int-flags", "list-relation", "string-sorts", "string-source", "string-pre", "string-post",
-        "string-braid", "triple-braidInv",
+        "string-braid", "triple-braidInv", "unknown-op", "int-cell", "string-generators",
+        "nameless-generator", "relation-without-lhs",
     ],
 )
 def test_cli_rejects_mistyped_presentation(fixture_dir, tmp_path, capsys, path, value, match):
@@ -351,6 +357,33 @@ def test_parse_diag_presentation_rejects_mistyped_cells(field, value):
     doc["cells"][1][field] = value
     with pytest.raises(ParseError, match=f"cell {field}"):
         parse_diag_presentation(json.dumps(doc))
+
+
+def test_parse_diag_presentation_rejects_a_document_without_cells():
+    with pytest.raises(ParseError, match="malformed diagrammatic presentation: 'cells'"):
+        parse_diag_presentation(json.dumps({"name": "MonComplex"}))
+
+
+@pytest.mark.parametrize(
+    "path, value, match",
+    [
+        (["steps", 0, "interchange", "pos"], 9, "interchange position 9 out of range"),
+        (["steps", 0, "interchange", "pair"], ["left/left/right/right/top"] * 2, "pair mismatch at position 2"),
+        (["steps", 0, "interchange", "dir"], "sideways", "unknown interchange direction 'sideways'"),
+        (["steps", 2, "apply", "pre"], [], "generator step on 'left/right/left/top' expects order"),
+    ],
+    ids=["pos-out-of-range", "pair-mismatch", "unknown-direction", "generator-at-wrong-order"],
+)
+def test_walking_an_edited_expression_raises_expression_error(path, value, match):
+    from pastekit import interpret
+    from pastekit.graycat import walk
+
+    F = frob()
+    doc = json.loads(serialize_expr(interpret(F.molecule)))
+    _set(doc, path, value)
+    e = parse_expr(json.dumps(doc), F.molecule.complex)
+    with pytest.raises(ExpressionError, match=match):
+        walk(e)
 
 
 def test_cli_usage_error(capsys):

@@ -379,8 +379,16 @@ def test_certificate_walks_do_not_recurse_per_node():
         longer = paste(u, globe_molecule(1), 0)
         iso = unique_iso(u, twin)  # paired along the one order
         searched = unique_iso(loose, loose_twin)
+        same = u.certificate == twin.certificate
+        differ = u.certificate != longer.certificate
+        hashes = hash(u.certificate), hash(twin.certificate)
+        text = repr(u.certificate)
     finally:
         sys.setrecursionlimit(limit)
+    assert same and differ and hashes[0] == hashes[1]
+    assert text.count("Pasting(k=0, left=") == 299 and text.count("Atom(top=") == 300
+    pair = paste(globe_molecule(1), globe_molecule(1), 0).certificate
+    assert repr(pair) == "Pasting(k=0, left=Atom(top='left/1'), right=Atom(top='right/1'))"
     assert len(longer.members) == len(u.members) + 2
     assert iso is not None and len(iso) == len(u.members)
     assert searched == {**iso, "lone": "lone"}

@@ -24,7 +24,7 @@ from pastekit import (
     u_cell,
 )
 from pastekit.fixtures import frob, power
-from pastekit.orders import is_k_order
+from pastekit.orders import MaxdGraph, is_k_order
 
 from conftest import random_2_molecule, random_molecule
 
@@ -199,6 +199,14 @@ def test_maxd_path_implies_precedence(rng):
                 for y in g.reachable(x):
                     if y in maximal and y != x:
                         assert rep.preceq(x, y)
+
+
+def test_reachable_includes_a_vertex_exactly_when_it_lies_on_a_cycle():
+    # a hand-built graph: a and x form a cycle, c has a loop, b is a sink
+    g = MaxdGraph(0, ("a", "b", "c"), ("x",), {"a": ("x",), "b": (), "c": ("c",), "x": ("a", "b")})
+    assert g.reachable("a") == g.reachable("x") == {"a", "b", "x"}
+    assert g.reachable("b") == frozenset()
+    assert g.reachable("c") == {"c"}
 
 
 def test_normal_1_order_atom():

@@ -24,8 +24,12 @@ Recognition, validation and graycat's precedences are remembered by each
 complex, so they are also checked on a complex whose memo is already full,
 on complexes derived from it, and on one complex shared by several
 threads.  Pasting has one path in the library, so `ref_paste` keeps the
-two-factor glue of separate ``left/`` and ``right/`` tables: `paste`, the
-fold of `paste` and `_paste_all` are checked against it and its left fold.
+two-factor glue, one two-part `_glue` table per step with ``left/`` and
+``right/`` ids: `paste`, the fold of `paste` and `_paste_all`'s one n-part
+table are checked against it and its left fold.  `sigma_star_expr` reverses
+the positive word of the inverse permutation read back from its target, and
+`ref_sigma_star_expr` keeps the walk that rebuilds the inverse word position
+by position from the source.
 The frame-loop test of frame acyclicity is checked against
 `_Index.frame_order`.  Recognition reads a 1-dimensional path off one walk
 (`_Index.path`) and refuses other masks whose arrows all have both ends
@@ -96,6 +100,7 @@ from pastekit import (
 from pastekit.molecules import _fold, _glue, _mismatch, _paste_all, _rename, unique_iso, whole
 from pastekit.ogp import ElementReport, ValidationReport, _Index, _lex_topo, _unique_topo
 from pastekit.orders import _find_cycle, _frame_graph, _frame_loops, is_k_order
+from pastekit.theories import BraidInv, Layered2Cell, Permutation, Slice, sigma_expr, sigma_star_expr
 from pastekit import molecules, serialize
 from pastekit.fixtures import fixture_files, frob
 from pastekit.render import _wire_sequence
@@ -1245,8 +1250,8 @@ def ref_paste(u1: Molecule, u2: Molecule, k: int, name: str | None = None) -> Mo
             f"cannot paste {u1.complex.name} and {u2.complex.name} at {k}: "
             f"boundaries not isomorphic ({_mismatch(u1.complex, b1, u2.complex, b2)})"
         )
-    table, left_map, right_map = _glue(
-        u1.complex, u1.members, u2.complex, u2.members, {y: x for x, y in iso.items()}
+    table, (left_map, right_map) = _glue(
+        [(u1.complex, u1.members, {}), (u2.complex, u2.members, {y: x for x, y in iso.items()})]
     )
     cx = Complex(name or f"({u1.complex.name}#{k}{u2.complex.name})", table)
     cert = Pasting(k, _rename(u1.certificate, left_map), _rename(u2.certificate, right_map))
@@ -1340,6 +1345,29 @@ def test_paste_all_fails_where_the_fold_fails(factors, k):
 
 def ref_dump(doc) -> bytes:
     return (json.dumps(doc, ensure_ascii=False, indent=2) + "\n").encode("utf-8")
+
+
+def ref_sigma_star_expr(s: Permutation, w: tuple[str, ...]) -> Layered2Cell:
+    """The inverse crossings of the positive word for ``s⁻¹``, applied from
+    ``w`` in reverse order: each slice crosses the two sorts at its position
+    in the word reached so far."""
+    forward = sigma_expr(s.inverse(), tuple(w[s(j) - 1] for j in range(1, s.n + 1)))
+    word = tuple(w)
+    slices = []
+    for sl in reversed(forward.slices):
+        k = len(sl.pre)
+        a, b = word[k], word[k + 1]
+        slices.append(Slice(word[:k], BraidInv(a, b), word[k + 2 :]))
+        word = word[:k] + (b, a) + word[k + 2 :]
+    return Layered2Cell(tuple(w), tuple(slices))
+
+
+def test_sigma_star_expr_matches_the_position_walk():
+    for n in range(7):
+        w = tuple("abcdef"[:n])
+        for images in itertools.permutations(range(1, n + 1)):
+            s = Permutation(images)
+            assert sigma_star_expr(s, w) == ref_sigma_star_expr(s, w)
 
 
 def test_dump_matches_json_on_every_golden_document(monkeypatch):
