@@ -8,11 +8,13 @@ atom's top, the union of a pasting's halves).  Constructors (`globe`,
 `paste`, `cell_to`, `compos`, `substitute`) build certificates as they go;
 `recognize` rebuilds one from a bare closed subset by exhaustive split
 search (complete up to dimension 3) on the complex's bitmask index, one
-search per subset on an explicit stack, so its depth does not grow; a
-1-dimensional path of arrows is read off in one walk instead, and a
-1-dimensional subset whose arrows all have both ends is refused unless it is
-such a path.  `unique_iso` pairs two subsets along the one topological order
-of their oriented Hasse graphs, and searches only when they have none.
+search per subset on an explicit stack, so its depth does not grow.  A cut
+of a frame order allows one split at most, built by `_cut`, which the
+search and the decompositions of `orders` share.  A 1-dimensional path of
+arrows is read off in one walk instead, and a 1-dimensional subset whose
+arrows all have both ends is refused unless it is such a path.
+`unique_iso` pairs two subsets along the one topological order of their
+oriented Hasse graphs, and searches only when they have none.
 
 Gluing has one table builder, `_glue`: it keeps a subset of each part,
 identifies elements of a part with elements of the part before, and gives
@@ -580,16 +582,16 @@ _Found = Atom | Pasting | _Unknown | None
 def recognize(cx: Complex, members: frozenset[str]):
     """Reconstruct a molecule certificate for a closed subset.
 
-    Returns a handle, ``None`` when the subset is certainly not a molecule,
-    or ``UNKNOWN`` when the search is exhausted above dimension 3 (where
-    failure is inconclusive).  Complete for subsets of dimension <= 3 in a
-    complex whose cells are themselves well-formed.  A 1-dimensional subset
-    that is a single path of arrows is not searched: its certificate pastes
-    the arrows at level 0, nested to the right in path order, which is what
-    the search would find; one that is no path but whose arrows each have
-    one input and one output point is no molecule, and not searched either.
-    The complex remembers the result for every subset searched, and later
-    calls read it back.
+    Returns a handle, ``None`` when the subset is certainly not a molecule, or
+    ``UNKNOWN`` when the search is exhausted above dimension 3 (where failure
+    is inconclusive).  Complete for subsets of dimension <= 3 in a complex
+    whose cells are themselves well-formed; the search tries each cut of a
+    frame order once (`_cut`).  A 1-dimensional subset that is a single path
+    of arrows is not searched: its certificate pastes the arrows at level 0,
+    nested to the right in path order, which is what the search would find;
+    one that is no path but whose arrows each have one input and one output
+    point is no molecule, and not searched either.  The complex remembers
+    the result for every subset searched, and later calls read it back.
     """
     ix = cx._index()
     root = ix.mask(members)
@@ -637,19 +639,16 @@ def _recognized(ix: _Index, root: int) -> _Found:
 
 def _split_search(ix: _Index, m: int) -> Generator[int, _Found, _Found]:
     """`recognize`'s search on a nonempty closed mask: at each level k from the
-    frame dimension up, each cut i of the frame order of the high cells is
-    tried twice (the cells from i on with the output k-boundary, then the
-    cells before i with the input k-boundary, each against the rest).
+    frame dimension up, each cut of the frame order of the high cells is
+    tried once, by the one split it allows (`_cut`).
 
-    A mask of dimension <= 1 that is a path (`_Index.path`) is not searched.
-    On a path the first cut always splits (level 0, cut 1, from the tail), so
-    the search would find the arrows pasted at level 0 and nested to the
-    right in path order; that certificate is built directly, and the
-    suffixes are neither searched nor remembered.  Nor is one that is not a
-    path but whose arrows each have one input and one output point
-    (`_Index.two_ended`): there an atom is a path, and pasting two paths at
-    level 0 along the end of the first gives a path, so every molecule is a
-    path and the search would find none."""
+    A mask of dimension <= 1 is not searched when it is a path
+    (`_Index.path`): its first cut always splits (level 0, cut 1), so the
+    search would find the arrows pasted at level 0, nested to the right in
+    path order; that certificate is built directly, and the suffixes are
+    neither searched nor remembered.  Nor when it is no path but its arrows
+    each have one input and one output point (`_Index.two_ended`): there
+    atoms and their pastings at level 0 are paths, so the search finds none."""
     maximal = ix.maximal(m)
     if not maximal & (maximal - 1):
         return Atom(ix.ids[maximal.bit_length() - 1])
@@ -663,7 +662,6 @@ def _split_search(ix: _Index, m: int) -> Generator[int, _Found, _Found]:
             return cert
         if ix.two_ended(m):
             return None
-    inconclusive = n >= 4
     for k in range(max(ix.frame_dimension(maximal), 0), n):
         tail = maximal & ~ix.below(k + 1)
         if not tail & (tail - 1):  # fewer than two high cells
@@ -671,32 +669,40 @@ def _split_search(ix: _Index, m: int) -> Generator[int, _Found, _Found]:
         highs = ix.frame_order(m, maximal, k)
         if highs is None:
             continue
-        bminus, bplus = ix.boundary(m, k)
-        head = 0  # the high cells before cut i; tail holds those from i on
-        for i in range(1, len(highs)):
-            head |= 1 << highs[i - 1]
-            tail ^= 1 << highs[i - 1]
-            for from_tail in (True, False):
-                if from_tail:
-                    right = ix.closure(tail) | bplus
-                    left = ix.closure(m & ~right | ix.boundary(right, k)[0])
-                else:
-                    left = ix.closure(head) | bminus
-                    right = ix.closure(m & ~left | ix.boundary(left, k)[1])
-                if not _is_split(ix, m, left, right, k):
-                    continue
-                lcert = yield left
-                rcert = (yield right) if lcert else None
-                if lcert and rcert:
-                    return Pasting(k, lcert, rcert)
-                inconclusive = inconclusive or lcert is UNKNOWN or rcert is UNKNOWN
-    return UNKNOWN if inconclusive else None
+        bplus = ix.boundary(m, k)[1]
+        for x in highs[:-1]:
+            tail ^= 1 << x  # the high cells after the cut
+            halves = _cut(ix, m, tail, k, bplus)
+            lcert = (yield halves[0]) if halves else None
+            rcert = (yield halves[1]) if lcert else None
+            if lcert and rcert:
+                return Pasting(k, lcert, rcert)
+    # halves are no higher than m, so below dimension 4 none was UNKNOWN
+    return UNKNOWN if n >= 4 else None
 
 
-def _is_split(ix: _Index, m: int, left: int, right: int, k: int) -> bool:
-    """Whether the mask ``m`` is ``left`` pasted to ``right`` along their shared k-boundary."""
-    if left | right != m:
-        return False
+def _cut(ix: _Index, m: int, tail: int, k: int, bplus: int) -> tuple[int, int] | None:
+    """The k-split of the closed mask ``m`` with the high cells ``tail`` on
+    its right and the others on its left, or None; ``bplus`` is ``∂⁺ₖm``.
+
+    No other split has that partition.  Let ``m = L #ₖ R`` with ``tail`` the
+    high cells of R, so ``L & R = ∂⁺ₖL = ∂⁻ₖR`` has nothing above level k.
+    What of R lies under some of R above level k lies under ``tail``.  The
+    rest lies in ``∂⁻ₖR = ∂⁺ₖL``, and so in ``∂⁺ₖm``: at dimension k it has
+    no input coface in L or R, and lower it lies under such an element or
+    under nothing above level k.  What of ``∂⁺ₖm`` lies in L lies in
+    ``∂⁺ₖL``, so in R.  Hence ``R = closure(tail) | ∂⁺ₖm`` and
+    ``L = closure(m ∖ R | ∂⁻ₖR)``.  This uses only `_is_split` and the
+    definition of a boundary, so it holds on irregular complexes too; the
+    candidate from the cells before the cut and ``∂⁻ₖm`` is this split or none.
+    """
+    right = ix.closure(tail) | bplus
+    left = ix.closure(m & ~right | ix.boundary(right, k)[0])
+    return (left, right) if _is_split(ix, left, right, k) else None
+
+
+def _is_split(ix: _Index, left: int, right: int, k: int) -> bool:
+    """Whether ``left | right`` is ``left`` pasted to ``right`` along their shared k-boundary."""
     shared = left & right
     return ix.boundary(left, k)[1] == shared and ix.boundary(right, k)[0] == shared
 
@@ -778,7 +784,7 @@ def certificate_ok(u: Molecule) -> bool:
         return ix.down[ix.pos[a.top]] if a.top in cx else None
 
     def paste(p: Pasting, left: int | None, right: int | None) -> int | None:
-        if left is None or right is None or not _is_split(ix, left | right, left, right, p.k):
+        if left is None or right is None or not _is_split(ix, left, right, p.k):
             return None
         return left | right
 

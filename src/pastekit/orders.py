@@ -259,15 +259,14 @@ def frame_decomposition(u: mol.Molecule, k: int, order: KOrder) -> list[mol.Mole
     ix = cx._index()
     current = ix.mask(u.members)
     for i in range(len(order.sequence) - 1):
-        suffix = ix.closure(ix.mask(order.sequence[i + 1 :])) | ix.boundary(current, k)[1]
-        first = ix.closure(current & ~suffix | ix.boundary(suffix, k)[0])
-        if not mol._is_split(ix, current, first, suffix, k):
+        halves = mol._cut(ix, current, ix.mask(order.sequence[i + 1 :]), k, ix.boundary(current, k)[1])
+        if halves is None:
             raise RuntimeError(f"frame decomposition split failed at index {i}")
+        first, current = halves
         got = mol.recognize(cx, ix.members(first))
         if got is None or got is mol.UNKNOWN:
             raise RuntimeError(f"frame decomposition factor at index {i} is not a molecule")
         factors.append(got)
-        current = suffix
     got = mol.recognize(cx, ix.members(current))
     if got is None or got is mol.UNKNOWN:
         raise RuntimeError("frame decomposition tail is not a molecule")
@@ -349,26 +348,23 @@ def slice_decomposition(u: mol.Molecule, i: mol.Molecule) -> tuple[mol.Molecule,
     if i.complex is not cx or not i.members <= u.members:
         raise ValueError("the cut must be a subset of the molecule")
     ix = cx._index()
-    if ix.boundary(ix.mask(i.members), 0) != ix.boundary(ix.mask(u.members), 0):
+    m = ix.mask(u.members)
+    if ix.boundary(ix.mask(i.members), 0) != ix.boundary(m, 0):
         raise ValueError("the cut does not span the molecule's endpoints")
     if u.dim <= 1:
         if i.members != u.members:
             raise ValueError("a 1-molecule is only cut along itself")
         return u, u
-    rep = totally_loop_free(cx, u.members)
-    if not rep.acyclic:
+    if not totally_loop_free(cx, u.members).acyclic:
         raise RuntimeError("molecule precedence loops")
-    # a cell is above the cut iff some cut wire feeds into it; the cut's
-    # endpoint vertices are shared with everything and say nothing
+    # a cell is above the cut iff a level-1 frame path leads to it from a cut
+    # wire (a Hasse path may pass a wire's end point into a cell below it)
     cut_wires = [w for w in i.members if cx.dim_of(w) == 1]
-    above_cells = {x for x in _reached(rep.adjacency, cut_wires) if cx.dim_of(x) == 2}
-    below_cells = {x for x in u.members if cx.dim_of(x) == 2} - above_cells
-    below = cx.closure(below_cells) | i.members
-    above = cx.closure(above_cells) | i.members
-    if below & above != i.members or not mol._is_split(ix, ix.mask(u.members), ix.mask(below), ix.mask(above), 1):
+    above_cells = [x for x in _reached(_frame_graph(ix, m, 1).adjacency, cut_wires) if cx.dim_of(x) == 2]
+    halves = mol._cut(ix, m, ix.mask(above_cells), 1, ix.boundary(m, 1)[1])
+    if halves is None or halves[0] & halves[1] != ix.mask(i.members):
         raise ValueError("the cut does not slice the molecule")
-    lo = mol.recognize(cx, below)
-    hi = mol.recognize(cx, above)
+    lo, hi = (mol.recognize(cx, ix.members(h)) for h in halves)
     if lo is None or lo is mol.UNKNOWN or hi is None or hi is mol.UNKNOWN:
         raise RuntimeError("slice halves failed molecule recognition")
     return lo, hi

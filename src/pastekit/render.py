@@ -57,16 +57,13 @@ def _wire_sequence(cx: Complex, wires: frozenset[str]) -> list[str]:
     return [ix.ids[a] for a in arrows]
 
 
-def export_svg_2diagram(
-    lc: LabelledComplex | Complex, names: Mapping[str, str] | None = None
-) -> str:
+def export_svg_2diagram(lc: LabelledComplex | Complex) -> str:
     """Render a diagram of dimension <= 2 as a layered string diagram."""
     if isinstance(lc, Complex):
         lc = LabelledComplex(lc, {x: x for x in lc.elements()})
     cx = lc.shape
     if cx.dim > 2:
         raise ValueError("string diagrams render up to dimension 2")
-    names = names or {}
     whole = cx.whole()
     try:
         cells = normal_order_of_subset(cx, whole) if cx.dim == 2 else ()
@@ -120,8 +117,7 @@ def export_svg_2diagram(
                 f'<circle cx="{cx_mid}" cy="{(y0 + y1) // 2}" r="5" fill="black"/>'
             )
             parts.append(
-                f'<text x="{cx_mid + 8}" y="{(y0 + y1) // 2 + 4}" font-size="12">'
-                f"{names.get(label, label)}</text>"
+                f'<text x="{cx_mid + 8}" y="{(y0 + y1) // 2 + 4}" font-size="12">{label}</text>'
             )
     if not placements:
         for i, w in enumerate(layers[0]):

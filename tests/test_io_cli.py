@@ -184,6 +184,7 @@ def test_cli_validate_failure(fixture_dir, tmp_path, capsys):
         "broken": json.dumps(BROKEN),
         "o3-cut-cover": _o3_doc(fixture_dir, _cut_2_minus),
         "o3-flipped-sign": _o3_doc(fixture_dir, _flip_1_minus),
+        "o5-no-input-face": _o5_no_input_face(),
     }
     for name, doc in docs.items():
         path = tmp_path / f"{name}.json"
@@ -216,7 +217,30 @@ O3: FAIL (0 unknown)
 3: dim=3 spherical=False input=PASS output=PASS globular=True [FAIL]
 O3: FAIL (0 unknown)
 """,
+    # the top's output boundary is its two 4-cells, which recognition cannot
+    # tell from a molecule above dimension 3
+    "o5-no-input-face": """\
+1+: dim=1 spherical=True input=PASS output=PASS globular=None [ok]
+1-: dim=1 spherical=True input=PASS output=PASS globular=None [ok]
+2+: dim=2 spherical=True input=PASS output=PASS globular=True [ok]
+2-: dim=2 spherical=True input=PASS output=PASS globular=True [ok]
+3+: dim=3 spherical=True input=PASS output=PASS globular=True [ok]
+3-: dim=3 spherical=True input=PASS output=PASS globular=True [ok]
+4+: dim=4 spherical=True input=PASS output=PASS globular=True [ok]
+4-: dim=4 spherical=True input=PASS output=PASS globular=True [ok]
+5: dim=5 spherical=False input=FAIL output=UNKNOWN globular=False [FAIL]
+O5: FAIL (1 unknown)
+""",
 }
+
+
+def _o5_no_input_face() -> str:
+    """The 5-globe with the top's ``4-`` cover signed ``+``."""
+    doc = json.loads(serialize_complex(globe(5)))
+    (top,) = [e for e in doc["elements"] if e["id"] == "5"]
+    for cover in top["covers"]:
+        cover["sign"] = "+"
+    return json.dumps(doc)
 
 
 def test_cli_gray_rejects_invalid_factor(fixture_dir, tmp_path, capsys):

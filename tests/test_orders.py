@@ -1,8 +1,13 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from pastekit import (
+    Atom,
     KOrder,
     MINUS,
+    Molecule,
     PLUS,
     UNKNOWN,
     check_sim_substitution,
@@ -269,30 +274,98 @@ def test_slice_decomposition_atom_cuts():
     assert lo.members == u.members and hi.members == hi_cut.members
 
 
-def test_slice_decomposition_unique(rng):
-    # oracle: enumerate every bipartition of the 2-cells and keep those that
-    # satisfy the slice conditions; there must be exactly one
-    from itertools import combinations
+def _slices(u, cut: frozenset[str]) -> list[tuple[frozenset[str], frozenset[str]]]:
+    """Oracle: every bipartition of the 2-cells of ``u`` that meets the slice
+    conditions along ``cut``, as (below, above)."""
+    cx = u.complex
+    cells = sorted(x for x in u.members if cx.dim_of(x) == 2)
+    solutions = []
+    for r in range(len(cells) + 1):
+        for group in combinations(cells, r):
+            below = cx.closure(group) | cut
+            above = cx.closure(set(cells) - set(group)) | cut
+            if (
+                below | above == u.members
+                and below & above == cut
+                and cx.boundary(below, 1, PLUS) == cut
+                and cx.boundary(above, 1, MINUS) == cut
+            ):
+                solutions.append((below, above))
+    return solutions
 
+
+def test_slice_decomposition_unique(rng):
+    # there must be exactly one slice along the input boundary
     for _ in range(5):
         u = random_2_molecule(rng, max_elements=22)
         cx = u.complex
         cut = recognize(cx, cx.boundary(u.members, 1, MINUS))
         lo, hi = slice_decomposition(u, cut)
-        cells = sorted(x for x in u.members if cx.dim_of(x) == 2)
-        solutions = []
-        for r in range(len(cells) + 1):
-            for group in combinations(cells, r):
-                below = cx.closure(group) | cut.members
-                above = cx.closure(set(cells) - set(group)) | cut.members
-                if (
-                    below | above == u.members
-                    and below & above == cut.members
-                    and cx.boundary(below, 1, PLUS) == cut.members
-                    and cx.boundary(above, 1, MINUS) == cut.members
-                ):
-                    solutions.append((below, above))
-        assert solutions == [(lo.members, hi.members)]
+        assert _slices(u, cut.members) == [(lo.members, hi.members)]
+
+
+def test_slice_decomposition_cuts_where_a_cell_on_one_side_meets_one_on_the_other():
+    # the cut runs through the middle point: the cell below it is right of
+    # that point, the cell above it left, and the cut wire ending there is
+    # the input of the cell above
+    o1 = globe_molecule(1)
+    first = paste(o1, u_cell(1, 1), 0)
+    second = paste(u_cell(1, 1), o1, 0)
+    u = paste(first, second, 1)
+    cx = u.complex
+    cut = recognize(cx, frozenset(u.left_map[x] for x in first.boundary(1, PLUS)))
+    lo, hi = slice_decomposition(u, cut)
+    assert lo.members == frozenset(u.left_map.values())
+    assert hi.members == frozenset(u.right_map.values())
+    assert _slices(u, cut.members) == [(lo.members, hi.members)]
+
+
+def test_slice_decomposition_cuts_between_the_factors_of_a_frame_decomposition():
+    # each interior cut: the output 1-boundary of a prefix of the factors
+    rng = random.Random(27)
+    cuts = 0
+    for _ in range(60):
+        u = random_2_molecule(rng, max_elements=30)
+        cx = u.complex
+        factors = frame_decomposition(u, 1, k_order(u, 1))
+        prefix = frozenset()
+        for f in factors[:-1]:
+            prefix |= f.members
+            cut = cx.boundary(prefix, 1, PLUS)
+            lo, hi = slice_decomposition(u, recognize(cx, cut))
+            assert lo.members == prefix
+            assert _slices(u, cut) == [(lo.members, hi.members)]
+            cuts += 1
+    assert cuts > 200
+
+
+def test_frame_decomposition_refusals():
+    q = paste(u_cell(2, 1), u_cell(1, 2), 1)
+    order = k_order(q, 1)
+    with pytest.raises(ValueError, match="^k must be at least the frame dimension$"):
+        frame_decomposition(q, 0, KOrder(0, order.sequence))
+    for bad in (KOrder(2, order.sequence), KOrder(1, order.sequence[::-1]), KOrder(1, order.sequence[:1])):
+        with pytest.raises(ValueError, match="^not a k-order for this molecule$"):
+            frame_decomposition(q, 1, bad)
+
+
+def test_slice_decomposition_refusals():
+    u = u_cell(2, 1)
+    cx = u.complex
+    lo_cut = recognize(cx, cx.boundary(u.members, 1, MINUS))
+    with pytest.raises(ValueError, match="^slice decomposition applies up to dimension 2$"):
+        slice_decomposition(globe_molecule(3), globe_molecule(3))
+    # a cut in another complex, and one in this complex outside the molecule
+    inner = recognize(cx, cx.closure(["left/left/1"]))
+    for cut, within in ((recognize(lo_cut.as_complex(), lo_cut.members), u), (lo_cut, inner)):
+        with pytest.raises(ValueError, match="^the cut must be a subset of the molecule$"):
+            slice_decomposition(within, cut)
+    # both wire layers of the cell span its end points, but are no molecule
+    wires = Molecule(cx, u.members - {"top"}, Atom("top"))
+    with pytest.raises(ValueError, match="^a 1-molecule is only cut along itself$"):
+        slice_decomposition(wires, lo_cut)
+    with pytest.raises(ValueError, match="^the cut does not slice the molecule$"):
+        slice_decomposition(u, wires)
 
 
 def test_slice_decomposition_rejects_nonspanning():

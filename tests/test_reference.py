@@ -30,6 +30,11 @@ table are checked against it and its left fold.  `sigma_star_expr` reverses
 the positive word of the inverse permutation read back from its target, and
 `ref_sigma_star_expr` keeps the walk that rebuilds the inverse word position
 by position from the source.
+Recognition tries one split at each cut of a frame order, the one `_cut`
+builds from the cells after the cut; `ref_recognize` keeps both candidates
+of `ref_split_candidates`, from the cells after the cut and from the cells
+before it, as the reference, and at every cut the two must be both splits
+or neither, the same split when both, and the split `_cut` returns.
 The frame-loop test of frame acyclicity is checked against
 `_Index.frame_order`.  Recognition reads a 1-dimensional path off one walk
 (`_Index.path`) and refuses other masks whose arrows all have both ends
@@ -775,10 +780,45 @@ def ref_is_split(cx: Complex, members, left, right, k: int) -> bool:
 
 
 def ref_split_candidates(cx: Complex, members, highs, i, k, bminus, bplus):
+    """The two candidate k-splits at cut i of ``highs``: from the cells after
+    the cut with the output k-boundary, then from the cells before it with
+    the input k-boundary."""
     suffix = ref_closure(cx, highs[i:]) | bplus
     yield ref_closure(cx, members - (suffix - ref_boundary(cx, suffix, k, MINUS))), suffix
     prefix = ref_closure(cx, highs[:i]) | bminus
     yield prefix, ref_closure(cx, members - (prefix - ref_boundary(cx, prefix, k, PLUS)))
+
+
+def test_a_cut_allows_one_split_and_cut_builds_it(enumerated):
+    # on every closed set the recognition test visits, at every level k with
+    # an acyclic frame order and two or more high cells, and at every cut of
+    # that order: the candidate from the cells after the cut and the one from
+    # the cells before it are both splits or neither, and the same split when
+    # both, and `_cut` gives that split or None
+    extra = [gray_product(globe(2), globe(2)), _disjoint_globes(4)]
+    seen = Counter()
+    for cx, found, _ in [*enumerated, *((cx, *ref_enumerate(cx)) for cx in extra)]:
+        ix = cx._index()
+        for members in _closed_sets(cx, found):
+            maximal = ref_maximal(cx, members)
+            for k in range(cx.dim_of_subset(members)):
+                order = ref_lex_topo(ref_maxd_adjacency(cx, members, k))
+                highs = [x for x in order or () if x in maximal and cx.dim_of(x) > k]
+                if len(highs) < 2:
+                    continue
+                bminus, bplus = (ref_boundary(cx, members, k, s) for s in SIGNS)
+                for i in range(1, len(highs)):
+                    pairs = ref_split_candidates(cx, members, highs, i, k, bminus, bplus)
+                    splits = [p for p in pairs if ref_is_split(cx, members, *p, k)]
+                    got = molecules._cut(ix, ix.mask(members), ix.mask(highs[i:]), k, ix.mask(bplus))
+                    if splits:
+                        assert len(splits) == 2 and splits[0] == splits[1], (cx.name, sorted(members), k, i)
+                        assert got == tuple(ix.mask(h) for h in splits[0]), (cx.name, sorted(members), k, i)
+                    else:
+                        assert got is None, (cx.name, sorted(members), k, i)
+                    seen[bool(splits), k] += 1
+    # splits and cuts without one, at levels 0 to 3
+    assert {split for split, _ in seen} == {True, False} and {k for _, k in seen} == {0, 1, 2, 3}, seen
 
 
 def _closed_sets(cx: Complex, found: list[Molecule]) -> set[frozenset[str]]:
@@ -964,17 +1004,28 @@ def test_spherical_boundary_matches_the_per_level_reference(enumerated):
     assert seen == {True, False}
 
 
+def _globe_with_two_output_faces(n: int) -> Complex:
+    """The n-globe with the top's ``(n-1)-`` cover signed ``+``: the top has
+    no input face, and its two faces make an output boundary that is no
+    molecule, which recognition cannot tell from dimension 4."""
+    o = globe(n)
+    table = {x: (o.dim_of(x), o.covers(x)) for x in o.elements()}
+    table[str(n)] = (n, [(f"{n-1}-", PLUS), (f"{n-1}+", PLUS)])
+    return Complex(f"O{n}~{n-1}-", table)
+
+
 def test_validate_complex_matches_the_reference_on_every_complex():
     seen = set()
-    for cx in COMPLEXES:
+    for cx in [*COMPLEXES, _globe_with_two_output_faces(5)]:
         fresh = cx.relabel({})  # a new index, with no report kept
         report = validate_complex(fresh)
         assert report == ref_validate(fresh), cx.name
         for c in report.checks:
             seen |= {("spherical", c.spherical), ("input", c.input_molecule), ("output", c.output_molecule)}
             seen.add(("globular", c.globular))
-    # every kind of failure occurs, on each side
+    # every kind of failure occurs, on each side, and an output boundary is UNKNOWN
     assert {("spherical", False), ("input", "FAIL"), ("output", "FAIL"), ("globular", False)} <= seen
+    assert ("output", "UNKNOWN") in seen
 
 
 def ref_wire_sequence(cx: Complex, wires: frozenset[str]) -> list[str]:
