@@ -16,10 +16,11 @@ from . import molecules as mol
 from .graycat import format_expr, interpret
 from .ogp import Complex, MINUS, PLUS, StructureError, validate_complex
 from .orders import maxd, KOrder
-from .products import gray_labelled, gray_product, smash_collapse, LabelledComplex
+from .products import gray_labelled, gray_product, smash_collapse
 from .render import export_dot, export_dot_maxd, export_svg_2diagram
 from .serialize import (
     ParseError,
+    labelled_from,
     parse_complex,
     parse_labelled,
     parse_presentation,
@@ -153,9 +154,7 @@ def cmd_export(args) -> int:
     if args.format == "dot":
         _emit(export_dot(cx))
         return 0
-    labels = extra.get("labels")
-    lc = LabelledComplex(cx, {x: x for x in cx.elements()} if labels is None else dict(labels))
-    _emit(export_svg_2diagram(lc))
+    _emit(export_svg_2diagram(labelled_from(cx, extra) if "labels" in extra else cx))
     return 0
 
 

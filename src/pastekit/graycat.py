@@ -78,7 +78,10 @@ Precedence = tuple[tuple[str, ...], dict[str, int], dict[str, frozenset[str]]]
 def _precedence(cx: Complex, support: frozenset[str]) -> Precedence:
     """The precedence of a support, kept on the complex's index."""
     ix = cx._index()
-    m = ix.mask(support)
+    try:
+        m = ix.mask(support)
+    except KeyError as exc:  # an element outside the complex
+        raise ExpressionError(exc.args[0]) from None
     if m not in ix.precedence:
         try:
             order = normal_order_of_subset(cx, support)

@@ -509,7 +509,7 @@ class Complex:
         ``dim(members) - 1``.
         """
         minus, plus = self._boundary_pair(members, n)
-        return minus | plus if sign is None else minus if sign == MINUS else plus
+        return minus | plus if sign is None else plus if flip(sign) == MINUS else minus
 
     def _boundary_pair(self, members: frozenset[str], n: int | None) -> tuple[frozenset[str], frozenset[str]]:
         """The input and output n-boundaries of a closed subset, from one pass."""

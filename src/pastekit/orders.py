@@ -5,9 +5,10 @@ n-dimensional elements they feed through; its acyclicity at the frame
 dimension is what lets a molecule be taken apart layer by layer.
 
 k-orders come from the one lexicographic Kahn sort, `ogp._lex_topo`, through
-`_Index.frame_order`.  The Hasse-graph order of `totally_loop_free` is the
-one totality test, `ogp._unique_topo`, which `molecules.unique_iso` also
-reads.  `_frame_loops` tests a frame graph for a cycle without ordering it.
+`_Index.frame_order`.  The one totality test, `ogp._unique_topo`, gives the
+Hasse-graph order of `totally_loop_free` and the precedence order of
+`normal_order_of_subset`; `molecules.unique_iso` also reads it.
+`_frame_loops` tests a frame graph for a cycle without ordering it.
 
 Reachability on id-keyed graphs has one walk, `_reached`: it maps each
 vertex reached from a set of sources to the vertex it was reached from.
@@ -329,18 +330,20 @@ def normal_1_order(u: mol.Molecule) -> KOrder:
 
 
 def normal_order_of_subset(cx: Complex, members: frozenset[str]) -> tuple[str, ...]:
-    """Precedence-sorted top cells of a 2-dimensional closed subset."""
-    rep = totally_loop_free(cx, members)
-    if rep.order is None:
+    """Top cells of a 2-dimensional closed subset in the unique topological
+    order of its oriented Hasse graph (`ogp._unique_topo`), their precedence."""
+    order = _unique_topo(cx._hasse(members))
+    if order is None:
         raise RuntimeError("precedence is not total on this subset")
-    return tuple(x for x in rep.order if cx.dim_of(x) == 2)
+    return tuple(x for x in order if cx.dim_of(x) == 2)
 
 
 def slice_decomposition(u: mol.Molecule, i: mol.Molecule) -> tuple[mol.Molecule, mol.Molecule]:
     """Cut a molecule of dimension <= 2 along a spanning 1-molecule.
 
     Returns the unique pair (below, above) with the cut as the shared
-    1-boundary; re-pasting them reproduces the molecule.
+    1-boundary; re-pasting them reproduces the molecule.  The halves are the
+    split `molecules._cut` makes, checked to meet in the cut and recognised.
     """
     cx = u.complex
     if u.dim > 2:
@@ -355,8 +358,6 @@ def slice_decomposition(u: mol.Molecule, i: mol.Molecule) -> tuple[mol.Molecule,
         if i.members != u.members:
             raise ValueError("a 1-molecule is only cut along itself")
         return u, u
-    if not totally_loop_free(cx, u.members).acyclic:
-        raise RuntimeError("molecule precedence loops")
     # a cell is above the cut iff a level-1 frame path leads to it from a cut
     # wire (a Hasse path may pass a wire's end point into a cell below it)
     cut_wires = [w for w in i.members if cx.dim_of(w) == 1]
@@ -438,13 +439,10 @@ def check_sim_substitution(
         collapsed = mol.substitute(u, first.members, mol.compos(first))
         assert collapsed.left_map is not None
         image = frozenset(collapsed.left_map[x] for x in second)
-        sh = mol.recognize(collapsed.complex, image)
-        if sh is None or sh is mol.UNKNOWN:
-            path = _blocking_path(collapsed.complex, collapsed.members, image, n)
-            return SimSubstitutionReport(
-                False, path, "surviving site is no longer a molecule", collapsed, image
-            )
         try:
+            sh = mol.recognize(collapsed.complex, image)
+            if sh is None or sh is mol.UNKNOWN:
+                raise mol.SubstitutionError("surviving site is no longer a molecule")
             mol.substitute(collapsed, image, mol.compos(sh))
         except mol.SubstitutionError as exc:
             path = _blocking_path(collapsed.complex, collapsed.members, image, n)

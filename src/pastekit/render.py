@@ -93,37 +93,29 @@ def export_svg_2diagram(lc: LabelledComplex | Complex) -> str:
     def wx(i: int) -> int:
         return pad + xstep // 2 + i * xstep
 
+    def wire(w: str, x1: int, y1: int, x2: int, y2: int) -> None:
+        dash = ' stroke-dasharray="4 3"' if lc.labels[w] == BASEPOINT else ""
+        parts.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="black"{dash}/>')
+
     for level, (cell, pos, n_in, n_out) in enumerate(placements):
         y0 = pad + level * ystep
         y1 = y0 + ystep
+        y_mid = (y0 + y1) // 2
         cx_mid = wx(pos) + (max(n_in, n_out, 1) - 1) * xstep // 2
-        before = layers[level]
         after = layers[level + 1]
-        for i, w in enumerate(before):
-            dash = ' stroke-dasharray="4 3"' if lc.labels[w] == BASEPOINT else ""
-            x0 = wx(i)
-            x1 = cx_mid if pos <= i < pos + n_in else wx(after.index(w))
-            parts.append(
-                f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{(y0 + y1) // 2 if pos <= i < pos + n_in else y1}" stroke="black"{dash}/>'
-            )
+        for i, w in enumerate(layers[level]):
+            if pos <= i < pos + n_in:
+                wire(w, wx(i), y0, cx_mid, y_mid)
+            else:
+                wire(w, wx(i), y0, wx(after.index(w)), y1)
         for j, w in enumerate(after[pos : pos + n_out], start=pos):
-            dash = ' stroke-dasharray="4 3"' if lc.labels[w] == BASEPOINT else ""
-            parts.append(
-                f'<line x1="{cx_mid}" y1="{(y0 + y1) // 2}" x2="{wx(j)}" y2="{y1}" stroke="black"{dash}/>'
-            )
+            wire(w, cx_mid, y_mid, wx(j), y1)
         label = lc.labels[cell]
         if label != BASEPOINT:
-            parts.append(
-                f'<circle cx="{cx_mid}" cy="{(y0 + y1) // 2}" r="5" fill="black"/>'
-            )
-            parts.append(
-                f'<text x="{cx_mid + 8}" y="{(y0 + y1) // 2 + 4}" font-size="12">{label}</text>'
-            )
+            parts.append(f'<circle cx="{cx_mid}" cy="{y_mid}" r="5" fill="black"/>')
+            parts.append(f'<text x="{cx_mid + 8}" y="{y_mid + 4}" font-size="12">{label}</text>')
     if not placements:
         for i, w in enumerate(layers[0]):
-            dash = ' stroke-dasharray="4 3"' if lc.labels[w] == BASEPOINT else ""
-            parts.append(
-                f'<line x1="{wx(i)}" y1="{pad}" x2="{wx(i)}" y2="{height - pad}" stroke="black"{dash}/>'
-            )
+            wire(w, wx(i), pad, wx(i), height - pad)
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

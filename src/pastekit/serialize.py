@@ -3,7 +3,9 @@
 Serialization is deterministic: element ids and covers are sorted, key
 order is fixed by each writer, and reserialising a parsed document
 reproduces it byte for byte.  Optional ``comment`` and ``names`` fields
-survive round trips.  Every writer goes through `_dump`, whose layout is
+survive round trips.  A complex's ``labels`` field is read by one function,
+`labelled_from`, for labelled files, diagrammatic presentation cells and
+the SVG export.  Every writer goes through `_dump`, whose layout is
 ``json.dumps(doc, ensure_ascii=False, indent=2)`` and a final newline: a
 two-space indent, one value per line, ``[]`` and ``{}`` for empty
 containers, and non-ASCII text written as UTF-8.
@@ -206,8 +208,9 @@ def serialize_labelled(lc: LabelledComplex, extra: Mapping[str, Any] | None = No
     return _dump(complex_to_doc(lc.shape, merged))
 
 
-def parse_labelled(data: bytes | str) -> LabelledComplex:
-    cx, extra = parse_complex(data)
+def labelled_from(cx: Complex, extra: Mapping[str, Any]) -> LabelledComplex:
+    """A parsed complex with the ``labels`` map of its extra fields; a missing
+    or partial map is a ParseError."""
     labels = extra.get("labels")
     if labels is None:
         raise ParseError("labelled complex needs a 'labels' map")
@@ -215,6 +218,10 @@ def parse_labelled(data: bytes | str) -> LabelledComplex:
         return LabelledComplex(cx, dict(labels))
     except ProductError as exc:
         raise ParseError(str(exc)) from exc
+
+
+def parse_labelled(data: bytes | str) -> LabelledComplex:
+    return labelled_from(*parse_complex(data))
 
 
 # -- presentations ---------------------------------------------------------------
@@ -339,14 +346,11 @@ def parse_diag_presentation(data: bytes | str) -> DiagComplexPresentation:
     try:
         cells = []
         for c in doc["cells"]:
-            shape, extra = complex_from_doc(c["shape"])
-            label = LabelledComplex(shape, dict(extra["labels"]))
+            label = labelled_from(*complex_from_doc(c["shape"]))
             cells.append(DiagCell(_str(c["name"], "cell name"), _int(c["dim"], "cell dim"), label))
         return DiagComplexPresentation(_str(doc.get("name", "presentation"), "presentation name"), tuple(cells))
     except (TypeError, KeyError) as exc:
         raise ParseError(f"malformed diagrammatic presentation: {exc}") from exc
-    except ProductError as exc:
-        raise ParseError(str(exc)) from exc
 
 
 # -- expressions -----------------------------------------------------------------

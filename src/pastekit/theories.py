@@ -238,18 +238,16 @@ def block_sigma(
 ) -> tuple[Layered2Cell, Layered2Cell]:
     """The crossing cells between row-major and column-major orderings of an
     n-by-m family of sorts: the positive word into column-major order and
-    the inverse word back."""
+    the inverse word back, which is the positive word read backwards."""
     if len(sorts) != n or any(len(row) != m for row in sorts):
         raise TheoryError(f"expected an {n} x {m} family of sorts")
     if n == 0 or m == 0:
         return unit_cell(()), unit_cell(())
     row_major = tuple(sorts[i][j] for i in range(n) for j in range(m))
-    column_major = tuple(sorts[i][j] for j in range(m) for i in range(n))
     # position map sending an entry's row-major slot to its column-major slot
     s = Permutation(tuple(j * n + i + 1 for i in range(n) for j in range(m)))
     sigma = sigma_expr(s, row_major)
-    sigma_star = sigma_star_expr(s.inverse(), column_major)
-    return sigma, sigma_star
+    return sigma, _reversed(sigma, {}, {})
 
 
 # -- presentations ------------------------------------------------------------------
@@ -338,6 +336,7 @@ def tensor_pros(t: ProPresentation, s: ProPresentation, sep: str = "⊗") -> Pro
     Sorts are pairs; each theory's generators and relations reappear indexed
     by the other's sorts, and every generator pair contributes the equation
     running one operation past the other, the crossing side listed first.
+    Sorts or generator names that pair up to one name twice are refused.
     """
     on_t = [partial(pair_id, y=c, sep=sep) for c in s.sorts]  # x ↦ x⊗c
     on_s = [partial(pair_id, a, sep=sep) for a in t.sorts]  # x ↦ a⊗x
@@ -345,18 +344,19 @@ def tensor_pros(t: ProPresentation, s: ProPresentation, sep: str = "⊗") -> Pro
     def rel(r: Relation, lab: Callable[[str], str]) -> Relation:
         return Relation(lab(r.name), _relabel_cell(r.lhs, lab), _relabel_cell(r.rhs, lab))
 
+    name = pair_id(t.name, s.name, sep)
+    sorts = tuple(pair_id(a, c, sep) for a in t.sorts for c in s.sorts)
     gens = [_indexed_gen(g, lab) for g in t.generators for lab in on_t]
     gens += [_indexed_gen(g, lab) for lab in on_s for g in s.generators]
+    # names that meet at the separator can pair up to one name twice
+    for what, names in (("sorts", sorts), ("generator names", [g.name for g in gens])):
+        if len(set(names)) != len(names):
+            twice = sorted({x for x in names if names.count(x) > 1})
+            raise TheoryError(f"{name}: {what} are not distinct: {twice}")
     rels = [rel(r, lab) for r in t.relations for lab in on_t]
     rels += [rel(r, lab) for lab in on_s for r in s.relations]
     rels += [_interchange_relation(phi, psi, sep) for phi in t.generators for psi in s.generators]
-    out = ProPresentation(
-        pair_id(t.name, s.name, sep),
-        tuple(pair_id(a, c, sep) for a in t.sorts for c in s.sorts),
-        tuple(gens),
-        tuple(rels),
-        braided=True,
-    )
+    out = ProPresentation(name, sorts, tuple(gens), tuple(rels), braided=True)
     out.check_relations()
     return out
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 
@@ -27,9 +28,10 @@ from pastekit import (
     recognize,
     u_cell,
 )
-from pastekit.graycat import ExpressionError, apply_step
+from pastekit.graycat import ExpressionError, apply_step, walk
 from pastekit.orders import normal_order_of_subset
 from pastekit.render import _wire_sequence
+from pastekit.serialize import parse_expr, serialize_expr
 from pastekit.fixtures import frob
 
 from conftest import random_2_molecule
@@ -339,3 +341,17 @@ def test_cells_outside_the_support_raise_expression_error():
         apply_step(cx, nf, GenApp("ghost", (), ()))
     with pytest.raises(ExpressionError, match="ghost"):
         nf_target(GrayExpr3(cx, nf, (GenApp("ghost", (), ()),)))
+    # a support naming an element the complex does not have
+    step = Interchange(0, "fwd", order[:2])
+    outside = GrayExpr3(cx, TwoCellNF(row.members | {"ghost"}, order), (step,))
+    doc = json.loads(serialize_expr(GrayExpr3(cx, nf, (step,))))
+    doc["source"]["support"].append("ghost")
+    parsed = parse_expr(json.dumps(doc), cx)
+    for call in (
+        lambda: walk(outside),
+        lambda: inversion_weight(cx, outside.source),
+        lambda: expr_equal(outside, outside),
+        lambda: walk(parsed),
+    ):
+        with pytest.raises(ExpressionError, match="unknown element 'ghost'"):
+            call()

@@ -436,8 +436,10 @@ def test_cli_help_exits_0(capsys, argv):
          "unknown generator 'zz'"),
         ("o1.json", lambda doc: doc.update(labels={"0-": "x", "0+": "x"}), ["smash", "{f}", "{f}"],
          "O1: unlabelled elements ['1']"),
+        ("o1.json", lambda doc: doc.update(labels={"0-": "x", "0+": "x"}), ["export", "{f}", "--format", "svg"],
+         "O1: unlabelled elements ['1']"),
     ],
-    ids=["tensor-unknown-generator", "smash-unlabelled-element"],
+    ids=["tensor-unknown-generator", "smash-unlabelled-element", "export-unlabelled-element"],
 )
 def test_cli_documents_failing_their_own_check_exit_2(fixture_dir, tmp_path, capsys, base, edit, command, message):
     doc = json.loads((fixture_dir / base).read_bytes())

@@ -94,6 +94,18 @@ def test_boundary_is_closed():
             assert u.complex.is_closed(bd)
 
 
+def test_a_sign_other_than_minus_or_plus_is_refused():
+    u = u_cell(2, 1)
+    cx = u.complex
+    for call in (
+        lambda: cx.boundary(u.members, 1, "x"),
+        lambda: u.boundary(1, "x"),
+        lambda: cx.source_set(u.members, 1, "x"),
+    ):
+        with pytest.raises(ValueError, match="not a sign: 'x'"):
+            call()
+
+
 def test_oriented_hasse_examples():
     o1 = globe(1)
     adj = o1.oriented_hasse()

@@ -29,7 +29,7 @@ from pastekit import (
     u_cell,
 )
 from pastekit.fixtures import frob, power
-from pastekit.orders import MaxdGraph, is_k_order
+from pastekit.orders import MaxdGraph, is_k_order, normal_order_of_subset
 
 from conftest import random_2_molecule, random_molecule
 
@@ -299,6 +299,10 @@ def test_slice_decomposition_unique(rng):
     for _ in range(5):
         u = random_2_molecule(rng, max_elements=22)
         cx = u.complex
+        # slice_decomposition refuses no loop, as a 2-molecule's Hasse order is unique
+        rep = totally_loop_free(cx, u.members)
+        assert rep.total
+        assert normal_order_of_subset(cx, u.members) == tuple(x for x in rep.order if cx.dim_of(x) == 2)
         cut = recognize(cx, cx.boundary(u.members, 1, MINUS))
         lo, hi = slice_decomposition(u, cut)
         assert _slices(u, cut.members) == [(lo.members, hi.members)]

@@ -29,7 +29,9 @@ two-factor glue, one two-part `_glue` table per step with ``left/`` and
 table are checked against it and its left fold.  `sigma_star_expr` reverses
 the positive word of the inverse permutation read back from its target, and
 `ref_sigma_star_expr` keeps the walk that rebuilds the inverse word position
-by position from the source.
+by position from the source.  `block_sigma` reads its inverse word off its
+positive word backwards, and the inverse word of the inverse permutation on
+the column-major word is kept as its reference.
 Recognition tries one split at each cut of a frame order, the one `_cut`
 builds from the cells after the cut; `ref_recognize` keeps both candidates
 of `ref_split_candidates`, from the cells after the cut and from the cells
@@ -105,7 +107,7 @@ from pastekit import (
 from pastekit.molecules import _fold, _glue, _mismatch, _paste_all, _rename, unique_iso, whole
 from pastekit.ogp import ElementReport, ValidationReport, _Index, _lex_topo, _unique_topo
 from pastekit.orders import _find_cycle, _frame_graph, _frame_loops, is_k_order
-from pastekit.theories import BraidInv, Layered2Cell, Permutation, Slice, sigma_expr, sigma_star_expr
+from pastekit.theories import BraidInv, Layered2Cell, Permutation, Slice, block_sigma, sigma_expr, sigma_star_expr
 from pastekit import molecules, serialize
 from pastekit.fixtures import fixture_files, frob
 from pastekit.render import _wire_sequence
@@ -1419,6 +1421,15 @@ def test_sigma_star_expr_matches_the_position_walk():
         for images in itertools.permutations(range(1, n + 1)):
             s = Permutation(images)
             assert sigma_star_expr(s, w) == ref_sigma_star_expr(s, w)
+
+
+def test_block_sigma_inverse_word_is_the_inverse_permutation_on_the_column_major_word():
+    for n, m in itertools.product(range(1, 5), repeat=2):
+        sorts = [[f"s{i}{j}" for j in range(m)] for i in range(n)]
+        column_major = tuple(sorts[i][j] for j in range(m) for i in range(n))
+        # the position map sending an entry's row-major slot to its column-major slot
+        s = Permutation(tuple(j * n + i + 1 for i in range(n) for j in range(m)))
+        assert block_sigma(n, m, sorts)[1] == sigma_star_expr(s.inverse(), column_major)
 
 
 def test_dump_matches_json_on_every_golden_document(monkeypatch):

@@ -26,7 +26,7 @@ from pastekit import (
     wire_permutation,
 )
 from pastekit.serialize import parse_presentation, serialize_presentation
-from pastekit.theories import Braid, BraidInv, GenRef, Layered2Cell, Slice, pro_dual
+from pastekit.theories import Braid, BraidInv, GenOp, GenRef, Layered2Cell, Slice, pro_dual
 
 
 perms = st.integers(1, 8).flatmap(
@@ -235,6 +235,29 @@ def test_tensor_matches_handwritten_golden():
 def test_tensor_of_free_theories_is_free():
     nn = tensor_pros(builtin("N"), builtin("N"))
     assert nn.generators == () and nn.relations == () and nn.braided
+
+
+def test_tensor_refuses_names_that_meet_at_the_separator(tmp_path, capsys):
+    from pastekit.cli import main
+
+    # ("a⊗b")⊗c and a⊗("b⊗c") are one sort
+    t = ProPresentation("T", ("a", "a⊗b"), ())
+    s = ProPresentation("S", ("c", "b⊗c"), ())
+    with pytest.raises(TheoryError, match=r"T⊗S: sorts are not distinct: \['a⊗b⊗c'\]"):
+        tensor_pros(t, s)
+    # the generator x indexed by the sort y, and the sort x indexing the generator y
+    t = ProPresentation("T", ("x",), (GenOp("x", ("x",), ("x",)),))
+    s = ProPresentation("S", ("y",), (GenOp("y", ("y",), ("y",)),))
+    with pytest.raises(TheoryError, match=r"T⊗S: generator names are not distinct: \['x⊗y'\]"):
+        tensor_pros(t, s)
+    paths = [tmp_path / "t.json", tmp_path / "s.json"]
+    for path, p in zip(paths, (t, s)):
+        path.write_bytes(serialize_presentation(p))
+    assert main(["tensor", *map(str, paths)]) == 1
+    assert capsys.readouterr().err == "T⊗S: generator names are not distinct: ['x⊗y']\n"
+    # a separator inside a name is no collision by itself
+    nested = tensor_pros(tensor_pros(builtin("Mon"), builtin("coMon")), builtin("Mon"))
+    assert nested.sorts == ("1⊗1⊗1",)
 
 
 def test_tensor_relations_parallel():
