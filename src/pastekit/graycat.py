@@ -360,7 +360,7 @@ def expr_normalize(e: GrayExpr3) -> GrayExpr3:
     region = frozenset().union(*[nf.support for nf in nfs], *[cx.closure([a]) for a in atoms])
     g = maxd(cx, region, 2)
     ordered = _lex_topo({a: tuple(sorted(g.reachable(a) & (ids - {a}))) for a in atoms})
-    if ordered is None:
+    if len(ordered) < len(atoms):
         return e
     try:
         return GrayExpr3(cx, source, _thread(cx, source, ordered, target))

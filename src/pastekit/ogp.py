@@ -37,13 +37,16 @@ class StructureError(ValueError):
     """
 
 
-def _lex_topo(adj: Mapping[V, Iterable[V]]) -> list[V] | None:
-    """The lexicographically least topological order of a digraph, or None
-    when it has a cycle.
+def _lex_topo(adj: Mapping[V, Iterable[V]]) -> list[V]:
+    """The vertices of a digraph that Kahn's algorithm can take, in the
+    lexicographically least topological order: every vertex exactly when
+    the graph is acyclic.
 
     Kahn's algorithm with a heap: each step takes the least vertex with no
     predecessor left.  ``adj`` maps every vertex to its successors; vertices
     are ordered by ``<`` (ids as strings, `_Index.frame_order` by rank).
+    Each vertex left out has a predecessor that is also left out, so a
+    cycle can be read off them (`orders._find_cycle`).
     """
     need = dict.fromkeys(adj, 0)  # predecessors not yet taken
     for ws in adj.values():
@@ -59,33 +62,21 @@ def _lex_topo(adj: Mapping[V, Iterable[V]]) -> list[V] | None:
             need[w] -= 1
             if not need[w]:
                 heapq.heappush(ready, w)
-    return out if len(out) == len(adj) else None
+    return out
 
 
 def _unique_topo(adj: Mapping[V, Iterable[V]]) -> list[V] | None:
     """The topological order of a digraph when it is the only one, or None
     when the graph has a cycle or more than one topological order.
 
-    Kahn's algorithm that gives up as soon as two vertices are ready at
-    once: the order is unique exactly when every step has one choice, that
-    is when consecutive vertices are joined by an edge and reachability
-    compares every pair.  ``adj`` maps every vertex to its successors; no
-    vertex order is needed, as there is nothing to choose.
+    The order of `_lex_topo`, kept when it takes every vertex and each
+    vertex is joined to the next by an edge: then every step had one
+    choice, and reachability compares every pair.
     """
-    need = dict.fromkeys(adj, 0)  # predecessors not yet taken
-    for ws in adj.values():
-        for w in ws:
-            need[w] += 1
-    ready = [v for v, count in need.items() if not count]
-    out = []
-    while len(ready) == 1:
-        v = ready.pop()
-        out.append(v)
-        for w in adj[v]:
-            need[w] -= 1
-            if not need[w]:
-                ready.append(w)
-    return out if len(out) == len(need) else None
+    order = _lex_topo(adj)
+    if len(order) == len(adj) and all(w in adj[v] for v, w in zip(order, order[1:])):
+        return order
+    return None
 
 
 class _Index:
@@ -310,7 +301,7 @@ class _Index:
                 succ[j].append(r)
             succ[r] = self.ranks(out & entered)
         order = _lex_topo(succ)
-        return None if order is None else [high[r] for r in order if r in high]
+        return [high[r] for r in order if r in high] if len(order) == len(succ) else None
 
     def path(self, m: int) -> list[int] | None:
         """The arrows of a closed mask of dimension <= 1 in path order, or None

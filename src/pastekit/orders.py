@@ -4,17 +4,19 @@ The bipartite frame graph at level n relates maximal cells above n to the
 n-dimensional elements they feed through; its acyclicity at the frame
 dimension is what lets a molecule be taken apart layer by layer.
 
-k-orders come from the one lexicographic Kahn sort, `ogp._lex_topo`, through
-`_Index.frame_order`.  The one totality test, `ogp._unique_topo`, gives the
-Hasse-graph order of `totally_loop_free` and the precedence order of
-`normal_order_of_subset`; `molecules.unique_iso` also reads it.
-`_frame_loops` tests a frame graph for a cycle without ordering it.
+Graphs keyed by vertex are ordered by one Kahn loop, the lexicographic sort
+`ogp._lex_topo`.  k-orders come from it through `_Index.frame_order`.  The
+totality test `ogp._unique_topo` is that sort plus an edge between each pair
+of consecutive vertices; it gives the Hasse-graph order of
+`totally_loop_free` and the precedence order of `normal_order_of_subset`, and
+`molecules.unique_iso` also reads it.  `_find_cycle` reads a cycle off the
+vertices the sort leaves.  `_frame_loops` tests a frame graph for a cycle on
+masks, without ordering it.
 
 Reachability on id-keyed graphs has one walk, `_reached`: it maps each
 vertex reached from a set of sources to the vertex it was reached from.
 Frame-graph and Hasse-graph reach sets, the cells above a slice's cut, and
 the blocking frame paths of `check_sim_substitution` are all read off it.
-`_find_cycle` keeps its own colouring, which reports a cycle in one pass.
 """
 from __future__ import annotations
 
@@ -22,41 +24,33 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .ogp import Complex, _Index, _unique_topo
+from .ogp import Complex, _Index, _lex_topo, _unique_topo
 from . import molecules as mol
 
 
 def _find_cycle(adj: dict[str, tuple[str, ...]]) -> tuple[str, ...] | None:
-    """A directed cycle of an adjacency map, first vertex repeated last, or None."""
-    color: dict[str, int] = {}
-    parent: dict[str, str] = {}
-    for root in adj:
-        if color.get(root):
-            continue
-        stack = [(root, iter(adj[root]))]
-        color[root] = 1
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if color.get(w, 0) == 0:
-                    color[w] = 1
-                    parent[w] = v
-                    stack.append((w, iter(adj[w])))
-                    advanced = True
-                    break
-                if color[w] == 1:
-                    cycle = [w, v]
-                    x = v
-                    while x != w:
-                        x = parent[x]
-                        cycle.append(x)
-                    cycle.reverse()
-                    return tuple(cycle)
-            if not advanced:
-                color[v] = 2
-                stack.pop()
-    return None
+    """A directed cycle of an adjacency map, first vertex repeated last, or
+    None when it has none.
+
+    Read off the vertices `ogp._lex_topo` cannot take: each of them has a
+    predecessor it cannot take either, so walking back along such
+    predecessors from any of them repeats a vertex, and the walk from that
+    vertex back to itself, reversed, is a cycle.
+    """
+    taken = set(_lex_topo(adj))
+    left = [v for v in adj if v not in taken]
+    if not left:
+        return None
+    pred = {w: v for v in left for w in adj[v] if w not in taken}
+    seen = set()
+    v = left[0]
+    while v not in seen:
+        seen.add(v)
+        v = pred[v]
+    cycle = [v, pred[v]]
+    while cycle[-1] != v:
+        cycle.append(pred[cycle[-1]])
+    return tuple(reversed(cycle))
 
 
 def _reached(adj: Mapping[str, Sequence[str]], sources: Iterable[str]) -> dict[str, str]:
@@ -310,7 +304,7 @@ def totally_loop_free(cx: Complex, members: frozenset[str] | None = None) -> Loo
     total order is additionally returned exactly when reachability compares
     every pair, in which case it is the unique topological order.  Totality
     is `ogp._unique_topo`, the test `unique_iso` also matches by; a graph
-    without that order is searched for a cycle.
+    without that order is searched for a cycle (`_find_cycle`).
     """
     if members is None:
         members = cx.whole()
@@ -435,7 +429,8 @@ def check_sim_substitution(
     if not (v_members & w_members) <= vb:
         raise ValueError("sites overlap beyond their boundaries")
 
-    def one_way(first: mol.Molecule, second: frozenset[str]) -> SimSubstitutionReport:
+    # collapse each site first in turn; the other survives as its image
+    for first, second in ((sites[0], w_members), (sites[1], v_members)):
         collapsed = mol.substitute(u, first.members, mol.compos(first))
         assert collapsed.left_map is not None
         image = frozenset(collapsed.left_map[x] for x in second)
@@ -445,16 +440,8 @@ def check_sim_substitution(
                 raise mol.SubstitutionError("surviving site is no longer a molecule")
             mol.substitute(collapsed, image, mol.compos(sh))
         except mol.SubstitutionError as exc:
+            if n == 2:
+                raise RuntimeError("dimension-2 simultaneous substitution must not fail") from exc
             path = _blocking_path(collapsed.complex, collapsed.members, image, n)
             return SimSubstitutionReport(False, path, str(exc), collapsed, image)
-        return SimSubstitutionReport(True)
-
-    first_way = one_way(sites[0], w_members)
-    if not first_way:
-        if n == 2:
-            raise RuntimeError("dimension-2 simultaneous substitution must not fail")
-        return first_way
-    second_way = one_way(sites[1], v_members)
-    if not second_way and n == 2:
-        raise RuntimeError("dimension-2 simultaneous substitution must not fail")
-    return second_way
+    return SimSubstitutionReport(True)

@@ -5,7 +5,7 @@ DOT output ranks elements by dimension and draws the oriented Hasse graph
 dimension <= 2 out slice by slice in its canonical cell order, each wire
 layer in path order, walked from its start point (`_Index.path`);
 dashed wires and nodeless cells mark basepoint labels.  Layout is
-best-effort; tests assert labels and connectivity, never pixels.
+best-effort; tests pin the drawings of a few small diagrams.
 """
 from __future__ import annotations
 

@@ -309,15 +309,9 @@ def parse_presentation(data: bytes | str) -> ProPresentation:
         )
     except KeyError as exc:
         raise ParseError(f"malformed presentation: relation without {exc}") from exc
-    p = ProPresentation(
-        name,
-        _strings(doc.get("sorts"), "'sorts'"),
-        tuple(gens),
-        rels,
-        flags.get("braided", False),
-        flags.get("symmetric", False),
-    )
+    sorts = _strings(doc.get("sorts"), "'sorts'")
     try:
+        p = ProPresentation(name, sorts, tuple(gens), rels, flags.get("braided", False), flags.get("symmetric", False))
         p.check_relations()
     except TheoryError as exc:
         raise ParseError(str(exc)) from exc

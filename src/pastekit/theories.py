@@ -276,6 +276,13 @@ class ProPresentation:
     braided: bool = False
     symmetric: bool = False
 
+    def __post_init__(self):
+        # signatures() keys generators by name, and sorts are told apart by name
+        for what, names in (("sorts", self.sorts), ("generator names", [g.name for g in self.generators])):
+            if len(set(names)) != len(names):
+                twice = sorted({x for x in names if names.count(x) > 1})
+                raise TheoryError(f"{self.name}: {what} are not distinct: {twice}")
+
     def signatures(self) -> dict[str, tuple[Word, Word]]:
         return {g.name: (g.inputs, g.outputs) for g in self.generators}
 
@@ -336,7 +343,8 @@ def tensor_pros(t: ProPresentation, s: ProPresentation, sep: str = "⊗") -> Pro
     Sorts are pairs; each theory's generators and relations reappear indexed
     by the other's sorts, and every generator pair contributes the equation
     running one operation past the other, the crossing side listed first.
-    Sorts or generator names that pair up to one name twice are refused.
+    Sorts or generator names that pair up to one name twice are refused, as
+    in any `ProPresentation`.
     """
     on_t = [partial(pair_id, y=c, sep=sep) for c in s.sorts]  # x ↦ x⊗c
     on_s = [partial(pair_id, a, sep=sep) for a in t.sorts]  # x ↦ a⊗x
@@ -348,11 +356,6 @@ def tensor_pros(t: ProPresentation, s: ProPresentation, sep: str = "⊗") -> Pro
     sorts = tuple(pair_id(a, c, sep) for a in t.sorts for c in s.sorts)
     gens = [_indexed_gen(g, lab) for g in t.generators for lab in on_t]
     gens += [_indexed_gen(g, lab) for lab in on_s for g in s.generators]
-    # names that meet at the separator can pair up to one name twice
-    for what, names in (("sorts", sorts), ("generator names", [g.name for g in gens])):
-        if len(set(names)) != len(names):
-            twice = sorted({x for x in names if names.count(x) > 1})
-            raise TheoryError(f"{name}: {what} are not distinct: {twice}")
     rels = [rel(r, lab) for r in t.relations for lab in on_t]
     rels += [rel(r, lab) for lab in on_s for r in s.relations]
     rels += [_interchange_relation(phi, psi, sep) for phi in t.generators for psi in s.generators]

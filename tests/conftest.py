@@ -1,4 +1,5 @@
-"""Shared helpers: a seeded random generator of small molecules.
+"""Shared helpers: a seeded random generator of small molecules, and a
+check that a witness is a directed cycle of its graph.
 
 Molecules are grown by applying random gluing programs to basic shapes:
 horizontal juxtaposition, whiskering, capping a stretch of the output
@@ -97,6 +98,15 @@ def random_2_molecule(rng: random.Random, max_elements: int = 40) -> Molecule:
         u = random_molecule(rng, max_elements=max_elements, max_dim=2)
         if u.dim == 2:
             return u
+
+
+def assert_cycle(adj, cycle) -> None:
+    """``cycle`` is a directed cycle of ``adj``: first vertex repeated last,
+    no other repeat, an edge between consecutive vertices."""
+    assert len(cycle) >= 2 and cycle[0] == cycle[-1], cycle
+    assert len(set(cycle)) == len(cycle) - 1, cycle
+    for v, w in zip(cycle, cycle[1:]):
+        assert w in adj[v], (cycle, v, w)
 
 
 @pytest.fixture(scope="session")

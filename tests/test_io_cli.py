@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from pastekit import Complex, globe, gray_labelled, interval_chain, paste, u_cell, validate_complex
+from pastekit import Complex, globe, globe_molecule, gray_labelled, interval_chain, paste, u_cell, validate_complex
 from pastekit import cli, interpret, serialize
 from pastekit.cli import main
 from pastekit.fixtures import fixture_files, frob, power
@@ -149,6 +149,45 @@ def test_export_svg_shapes():
     assert u21.count("<circle") == 1 and u21.count("<line") == 3
     with pytest.raises(ValueError):
         export_svg_2diagram(frob().molecule.complex)
+
+
+# a wire beside a cell runs from its place in one layer to its place in the next
+SVG_BESIDE = """\
+<svg xmlns="http://www.w3.org/2000/svg" width="160" height="90">
+<line x1="40" y1="20" x2="60" y2="45" stroke="black"/>
+<line x1="80" y1="20" x2="60" y2="45" stroke="black"/>
+<line x1="120" y1="20" x2="80" y2="70" stroke="black"/>
+<line x1="60" y1="45" x2="40" y2="70" stroke="black"/>
+<circle cx="60" cy="45" r="5" fill="black"/>
+<text x="68" y="49" font-size="12">left/top</text>
+</svg>
+"""
+SVG_STACK = """\
+<svg xmlns="http://www.w3.org/2000/svg" width="160" height="140">
+<line x1="40" y1="20" x2="40" y2="70" stroke="black"/>
+<line x1="80" y1="20" x2="100" y2="45" stroke="black"/>
+<line x1="120" y1="20" x2="100" y2="45" stroke="black"/>
+<line x1="100" y1="45" x2="80" y2="70" stroke="black"/>
+<line x1="100" y1="45" x2="120" y2="70" stroke="black"/>
+<circle cx="100" cy="45" r="5" fill="black"/>
+<text x="108" y="49" font-size="12">left/right/top</text>
+<line x1="40" y1="70" x2="60" y2="95" stroke="black"/>
+<line x1="80" y1="70" x2="60" y2="95" stroke="black"/>
+<line x1="120" y1="70" x2="80" y2="120" stroke="black"/>
+<line x1="60" y1="95" x2="40" y2="120" stroke="black"/>
+<circle cx="60" cy="95" r="5" fill="black"/>
+<text x="68" y="99" font-size="12">right/left/top</text>
+</svg>
+"""
+
+
+def test_export_svg_draws_wires_beside_cells():
+    o1 = globe_molecule(1)
+    beside = paste(u_cell(2, 1), o1, 0)
+    assert export_svg_2diagram(beside.as_complex("beside")) == SVG_BESIDE
+    # whiskered on the left below and on the right above
+    stack = paste(paste(o1, u_cell(2, 2), 0), paste(u_cell(2, 1), o1, 0), 1)
+    assert export_svg_2diagram(stack.as_complex("stack")) == SVG_STACK
 
 
 def test_export_svg_dotted_wires():

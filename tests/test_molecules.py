@@ -258,6 +258,19 @@ def test_substitute_rejects_boundary_mismatch():
         substitute(q, q.members, u_cell(3, 1))
 
 
+def test_substitute_refuses_a_site_it_cannot_replace():
+    u = u_cell(2, 1)
+    cx = u.complex
+    wire = cx.closure(["right/1"])
+    for site, message in (
+        (u.members | {"ghost"}, "substitution site is not inside the molecule"),
+        (frozenset({"top"}), "substitution site is not closed"),
+        (wire, "site and replacement must share their top dimension"),
+    ):
+        with pytest.raises(SubstitutionError, match=f"^{message}$"):
+            substitute(u, site, u)
+
+
 def test_recognize_atom_and_pasting():
     u21 = u_cell(2, 1)
     got = recognize(u21.complex, u21.complex.closure(["top"]))

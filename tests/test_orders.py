@@ -31,7 +31,7 @@ from pastekit import (
 from pastekit.fixtures import frob, power
 from pastekit.orders import MaxdGraph, is_k_order, normal_order_of_subset
 
-from conftest import random_2_molecule, random_molecule
+from conftest import assert_cycle, random_2_molecule, random_molecule
 
 
 def test_maxd_interval_is_a_path():
@@ -164,8 +164,10 @@ def test_loop_freeness_fails_in_dimension_three():
     # two independent rewrites let a descending wire re-enter an earlier
     # frame through a shared vertex: the oriented Hasse graph loops
     F = frob()
-    rep = totally_loop_free(F.molecule.complex, F.molecule.members)
-    assert not rep.acyclic and rep.cycle is not None
+    cx, members = F.molecule.complex, F.molecule.members
+    rep = totally_loop_free(cx, members)
+    assert not rep.acyclic and not rep.total and rep.order is None
+    assert_cycle(cx.oriented_hasse(members), rep.cycle)
 
 
 def test_acyclic_but_partial_reachability():
@@ -420,8 +422,21 @@ def test_sim_substitution_hypothesis_violations():
     u = paste(u_cell(2, 1), u_cell(1, 2), 1)
     cells = sorted(x for x in u.members if u.complex.dim_of(x) == 2)
     overlapping = u.members  # the whole thing against one cell: interiors meet
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^sites overlap beyond their boundaries$"):
         check_sim_substitution(u, overlapping, u.complex.closure([cells[0]]))
+    for m in (globe_molecule(1), globe_molecule(4)):
+        with pytest.raises(ValueError, match="^simultaneous substitution is checked in dimensions 2 and 3$"):
+            check_sim_substitution(m, m.members, m.members)
+    u = u_cell(2, 1)
+    points = frozenset(x for x in u.members if u.complex.dim_of(x) == 0)  # three points, no molecule
+    for bad, what in ((frozenset({"top"}), "is not a closed subset of the molecule"), (points, "is not a molecule")):
+        with pytest.raises(ValueError, match=f"^first site {what}$"):
+            check_sim_substitution(u, bad, u.members)
+        with pytest.raises(ValueError, match=f"^second site {what}$"):
+            check_sim_substitution(u, u.members, bad)
+    side_by_side = paste(u_cell(1, 1), u_cell(1, 1), 0)
+    with pytest.raises(ValueError, match="^first site does not have a spherical boundary$"):
+        check_sim_substitution(side_by_side, side_by_side.members, side_by_side.members)
 
 
 def test_frame_decomposition_designates_uniquely(rng):

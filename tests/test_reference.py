@@ -4,12 +4,13 @@ Each reference recomputes from the covers on every call, the way the
 library did before it kept per-element facts: a cover-walking closure, a
 cover test for maximal elements, a boundary built per level and sign, the
 pairwise frame dimension, the level-n frame graph from per-call atom
-boundaries, a heap-free Kahn loop (`ref_lex_topo`, which also checks the
-library's one sort `_lex_topo` and, with a test that consecutive vertices
-are joined, its one totality test `_unique_topo`) over that graph's ids for the order of its
-high cells, and an enumeration that recomputes every boundary of a member
-set when it is added and again when it is popped.  `is_k_order` is
-checked against reachability in the frame graph (`ref_is_k_order`).
+boundaries, a heap-free Kahn loop (`ref_lex_prefix`, which also checks the
+library's one sort `_lex_topo`, its one totality test `_unique_topo` with a
+test that consecutive vertices are joined, and whether `_find_cycle` finds
+a cycle) over that graph's ids for the order of its high cells, and an
+enumeration that recomputes every boundary of a member set when it is
+added and again when it is popped.  `is_k_order` is checked against
+reachability in the frame graph (`ref_is_k_order`).
 `Complex.cofaces` and `Complex.by_dim` read the index, so they are checked
 against a walk of the covers.  `unique_iso` pairs the two subsets' oriented
 Hasse graphs along their one topological order when both have one, and
@@ -68,7 +69,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import test_golden
-from conftest import random_molecule
+from conftest import assert_cycle, random_molecule
 from pastekit import (
     Atom,
     Complex,
@@ -301,18 +302,23 @@ def test_frame_dimension_and_frame_graphs_match_the_pairwise_reference(enumerate
                 assert maxd(cx, u.members, n).adjacency == ref_maxd_adjacency(cx, u.members, n)
 
 
-def ref_lex_topo(adj: dict) -> list | None:
+def ref_lex_prefix(adj: dict) -> list:
     """Take the least vertex with no predecessor left until none is ready:
     no heap and no counts, each round rescans every edge."""
     left = set(adj)
     out = []
-    while left:
+    while True:
         ready = [v for v in left if not any(v in adj[u] for u in left)]
         if not ready:
-            return None
+            return out
         out.append(min(ready))
         left.remove(out[-1])
-    return out
+
+
+def ref_lex_topo(adj: dict) -> list | None:
+    """`ref_lex_prefix` when it takes every vertex, None when the graph loops."""
+    out = ref_lex_prefix(adj)
+    return out if len(out) == len(adj) else None
 
 
 def _random_digraph(rng: random.Random) -> dict:
@@ -333,12 +339,28 @@ def test_lex_topo_matches_the_naive_kahn_loop():
     for _ in range(3000):
         adj = _random_digraph(rng)
         want = ref_lex_topo(adj)
-        assert _lex_topo(adj) == want, adj
+        # the whole order on an acyclic graph, the vertices taken before it stops on a looping one
+        assert _lex_topo(adj) == ref_lex_prefix(adj), adj
         # the order is the only one when consecutive vertices are joined by an edge
         only = want if want is not None and all(w in adj[v] for v, w in zip(want, want[1:])) else None
         assert _unique_topo(adj) == only, adj
         outcomes["loop" if want is None else "one order" if only is not None else "orders"] += 1
     assert outcomes["one order"] > 100 and outcomes["orders"] and outcomes["loop"], outcomes
+
+
+def test_find_cycle_returns_a_cycle_exactly_when_the_graph_loops():
+    rng = random.Random(0xC7C1E)
+    loops = 0
+    for _ in range(3000):
+        adj = _random_digraph(rng)
+        cycle = _find_cycle(adj)
+        if ref_lex_topo(adj) is None:
+            assert cycle is not None, adj
+            assert_cycle(adj, cycle)
+            loops += 1
+        else:
+            assert cycle is None, adj
+    assert loops > 300, loops
 
 
 def ref_high_order(cx: Complex, members: frozenset[str], k: int) -> list[str] | None:
@@ -481,19 +503,28 @@ def _check_derived_complexes(cx: Complex) -> None:
 
 
 def ref_frame_acyclic(cx: Complex, molecules: list[Molecule], truncated: bool) -> tuple:
-    """The first molecule, in list order, whose frame graph at its frame dimension loops."""
+    """The report's fields but its cycle, failing on the first molecule, in
+    list order, whose frame graph at its frame dimension loops; and that
+    graph, or None when no graph loops."""
     for checked, u in enumerate(molecules, 1):
         if len(ref_maximal(cx, u.members)) < 2:
             continue
-        k = ref_frame_dimension(cx, u.members)
-        cycle = _find_cycle(maxd(cx, u.members, max(k, 0)).adjacency)
-        if cycle is not None:
-            return False, checked, truncated, u.members, cycle
-    return True, len(molecules), truncated, None, None
+        adj = ref_maxd_adjacency(cx, u.members, max(ref_frame_dimension(cx, u.members), 0))
+        if ref_lex_topo(adj) is None:
+            return (False, checked, truncated, u.members), adj
+    return (True, len(molecules), truncated, None), None
 
 
-def _report(r) -> tuple:
-    return r.ok, r.checked, r.truncated, r.witness, r.cycle
+def assert_report(r, cx: Complex, molecules: list[Molecule], truncated: bool) -> bool:
+    """``r`` agrees with `ref_frame_acyclic`, and its cycle is one of the
+    reference's looping graph; whether it passed."""
+    want, adj = ref_frame_acyclic(cx, molecules, truncated)
+    assert (r.ok, r.checked, r.truncated, r.witness) == want
+    if adj is None:
+        assert r.cycle is None
+    else:
+        assert_cycle(adj, r.cycle)
+    return r.ok
 
 
 def test_frame_acyclic_matches_the_per_molecule_reference():
@@ -502,12 +533,10 @@ def test_frame_acyclic_matches_the_per_molecule_reference():
         # budget 40 truncates most enumerations and still reaches some loops
         for budget in (1, 7, 20, 40, None):
             found, truncated = enumerate_molecules(cx) if budget is None else enumerate_molecules(cx, budget)
-            want = ref_frame_acyclic(cx, found, truncated)
             got = frame_acyclic(cx) if budget is None else frame_acyclic(cx, budget=budget)
-            assert _report(got) == want
-            failing += not want[0]
+            failing += not assert_report(got, cx, found, truncated)
             # an explicit list is checked in its own order, never truncated
-            assert _report(frame_acyclic(cx, found[::-1])) == ref_frame_acyclic(cx, found[::-1], False)
+            assert_report(frame_acyclic(cx, found[::-1]), cx, found[::-1], False)
     assert failing >= 3
 
 

@@ -260,6 +260,31 @@ def test_tensor_refuses_names_that_meet_at_the_separator(tmp_path, capsys):
     assert nested.sorts == ("1⊗1⊗1",)
 
 
+def test_a_presentation_refuses_two_generators_or_sorts_with_one_name(tmp_path, capsys):
+    from pastekit.cli import main
+    from pastekit.serialize import ParseError
+
+    # signatures() would keep only the second m, and relations would be
+    # checked against it
+    two_ms = '{"name": "D", "sorts": ["a"], "generators": [' \
+        '{"name": "m", "in": ["a", "a"], "out": ["a"]}, {"name": "m", "in": [], "out": ["a"]}]}'
+    two_as = '{"name": "E", "sorts": ["a", "a"], "generators": []}'
+    cases = ((two_ms, "D: generator names are not distinct: ['m']"), (two_as, "E: sorts are not distinct: ['a']"))
+    for i, (doc, message) in enumerate(cases):
+        with pytest.raises(ParseError) as info:
+            parse_presentation(doc)
+        assert str(info.value) == message
+        path = tmp_path / f"p{i}.json"
+        path.write_text(doc)
+        assert main(["tensor", str(path), str(path)]) == 2
+        assert capsys.readouterr().err == message + "\n"
+    with pytest.raises(TheoryError, match=r"^E: sorts are not distinct: \['a'\]$"):
+        ProPresentation("E", ("a", "a"), ())
+    # a rename that sends both generators of Mon to one name
+    with pytest.raises(TheoryError, match=r"^Mon\^co: generator names are not distinct: \['u'\]$"):
+        pro_dual(builtin("Mon"), {"μ": "u", "η": "u"})
+
+
 def test_tensor_relations_parallel():
     for left, right in (("Mon", "coMon"), ("Mon", "Mon"), ("coMon", "coMon")):
         tensor_pros(builtin(left), builtin(right)).check_relations()
