@@ -181,21 +181,21 @@ def nf_target(e: GrayExpr3) -> TwoCellNF:
 
 
 def _to_normal_swaps(rank: dict[str, int], order: tuple[str, ...]) -> list[tuple[int, tuple[str, str]]]:
-    """Adjacent swaps sorting ``order`` by rank, largest out-of-place pair first."""
+    """Adjacent swaps sorting ``order`` by rank, top-down.
+
+    From the highest rank down, each cell moves right past the lower-ranked
+    cells after it, up to the higher-ranked cells already sorted at the end.
+    So each swap exchanges the largest out-of-place pair: the moving cell
+    and its right neighbour.
+    """
     cur = list(order)
     swaps: list[tuple[int, tuple[str, str]]] = []
-    while True:
-        candidates = [
-            p for p in range(len(cur) - 1) if rank[cur[p + 1]] < rank[cur[p]]
-        ]
-        if not candidates:
-            break
-        p = max(
-            candidates,
-            key=lambda q: (max(rank[cur[q]], rank[cur[q + 1]]), min(rank[cur[q]], rank[cur[q + 1]])),
-        )
-        swaps.append((p, (cur[p], cur[p + 1])))
-        cur[p], cur[p + 1] = cur[p + 1], cur[p]
+    for x in sorted(cur, key=rank.__getitem__, reverse=True):
+        p = cur.index(x)
+        while p + 1 < len(cur) and rank[cur[p + 1]] < rank[x]:
+            swaps.append((p, (x, cur[p + 1])))
+            cur[p], cur[p + 1] = cur[p + 1], x
+            p += 1
     return swaps
 
 
@@ -204,8 +204,11 @@ def interchanger_path(
 ) -> tuple[Step, ...]:
     """The canonical interchanger composite between two orders on one support.
 
-    Both orders are sorted toward the precedence order; the second path is
-    then reversed.  Any two step lists produced this way between the same
+    Both orders are sorted toward the precedence order (`_to_normal_swaps`),
+    and the swaps the two sorts end with in common cancel.  The path runs
+    the rest of the first sort forward as inverse interchangers, then the
+    rest of the second backward: undoing its swap of ``(a, b)`` interchanges
+    ``(b, a)``.  Any two step lists produced this way between the same
     orders are identical.
     """
     frm = tuple(frm)
@@ -225,16 +228,10 @@ def interchanger_path(
     while down and back and down[-1] == back[-1]:
         down.pop()
         back.pop()
-    steps: list[Step] = [Interchange(p, "inv", pair) for p, pair in down]
-    cur = list(frm)
-    for p, _ in down:
-        cur[p], cur[p + 1] = cur[p + 1], cur[p]
-    for p, pair in reversed(back):
-        a, b = cur[p], cur[p + 1]
-        steps.append(Interchange(p, "fwd", (a, b)))
-        cur[p], cur[p + 1] = cur[p + 1], cur[p]
-    assert tuple(cur) == to
-    return tuple(steps)
+    return tuple(
+        [Interchange(p, "inv", pair) for p, pair in down]
+        + [Interchange(p, "fwd", (b, a)) for p, (a, b) in reversed(back)]
+    )
 
 
 # -- threading generator steps ---------------------------------------------------

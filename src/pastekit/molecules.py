@@ -168,13 +168,9 @@ def whole(cx: Complex) -> Molecule:
     return res
 
 
-def atom_handle(cx: Complex, top: str) -> Molecule:
-    return Molecule(cx, cx.closure([top]), Atom(top))
-
-
 def globe_molecule(n: int) -> Molecule:
     cx = globe(n)
-    return atom_handle(cx, str(n))
+    return Molecule(cx, cx.closure([str(n)]), Atom(str(n)))
 
 
 def interval_chain(n: int) -> Molecule:
@@ -553,7 +549,6 @@ def substitute(u: Molecule, v_members: frozenset[str], w: Molecule, name: str | 
                 "replacement is not an isomorphic copy"
             )
         iso = full
-        interior = frozenset()
         v_boundary = v_members
     kept = (u.members - v_members) | v_boundary
     table, (left_map, right_map) = _glue([(cx, kept, {}), (w.complex, w.members, iso)])
@@ -709,7 +704,11 @@ def _is_split(ix: _Index, left: int, right: int, k: int) -> bool:
 
 def _enumerate_masks(cx: Complex, max_count: int) -> tuple[dict[int, Atom | Pasting], bool]:
     """The molecules of `enumerate_molecules` as masks of ``cx._index()``,
-    each with its certificate, in the order they were found."""
+    each with its certificate, in the order they were found.
+
+    Each set taken off the work stack is pasted, at every level k, first to
+    the sets whose input k-boundary is its output one, then second to those
+    whose output k-boundary is its input one: one loop over both sides."""
     ix = cx._index()
     pool: dict[int, Atom | Pasting] = {}
     top = cx.dim
@@ -740,16 +739,12 @@ def _enumerate_masks(cx: Complex, max_count: int) -> tuple[dict[int, Atom | Past
         m, bds = work.pop()
         cert = pool[m]
         for k, (bm, bp) in enumerate(bds):
-            for other in list(by_bminus[k].get(bp, ())):
-                if other & m == bp:
-                    joined = other | m
-                    if joined != m and joined != other:
-                        add(joined, Pasting(k, cert, pool[other]))
-            for other in list(by_bplus[k].get(bm, ())):
-                if other & m == bm:
-                    joined = other | m
-                    if joined != m and joined != other:
-                        add(joined, Pasting(k, pool[other], cert))
+            for first, shared, index in ((True, bp, by_bminus[k]), (False, bm, by_bplus[k])):
+                for other in list(index.get(shared, ())):
+                    if other & m == shared:
+                        joined = other | m
+                        if joined != m and joined != other:
+                            add(joined, Pasting(k, cert, pool[other]) if first else Pasting(k, pool[other], cert))
     return pool, truncated
 
 

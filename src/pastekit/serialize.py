@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from typing import Any, Mapping
 
-from .ogp import Complex, SIGNS
+from .ogp import Complex
 from .products import LabelledComplex, ProductError
 from .theories import (
     Braid,
@@ -185,8 +185,6 @@ def complex_from_doc(doc: Any) -> tuple[Complex, dict[str, Any]]:
             raise ParseError(f"malformed element entry {entry!r}")
         if not all(isinstance(t, str) for t, _ in covers):
             raise ParseError(f"cover ids of {eid!r} must be strings")
-        if any(s not in SIGNS for _, s in covers):
-            raise ParseError(f"bad sign in covers of {eid!r}")
         if eid in table:
             raise ParseError(f"duplicate element id {eid!r}")
         table[eid] = (dim, covers)

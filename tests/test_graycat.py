@@ -112,6 +112,24 @@ def test_interchanger_path_length_equals_weight():
             cur = nxt
 
 
+def test_interchanger_path_refuses_orders_of_different_cells():
+    row = _row_of_cells(3)
+    cx = row.complex
+    normal = normal_order_of_subset(cx, row.members)
+    for other in (normal[:2], normal[:2] + normal[:1]):
+        with pytest.raises(ExpressionError, match="orders do not contain the same cells"):
+            interchanger_path(cx, row.members, normal, other)
+
+
+def test_single_cell_readings_refuse_frob(F):
+    from pastekit import four_cell_equation
+
+    with pytest.raises(ExpressionError, match="expected a molecule with exactly one 3-cell"):
+        interpret_atom_in_context(F.molecule)
+    with pytest.raises(ExpressionError, match="expected a molecule with exactly one 4-cell"):
+        four_cell_equation(F.molecule)
+
+
 def test_interchange_requires_independence():
     q = paste(u_cell(2, 1), u_cell(1, 2), 1)
     cx = q.complex

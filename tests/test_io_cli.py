@@ -477,8 +477,15 @@ def test_cli_help_exits_0(capsys, argv):
          "O1: unlabelled elements ['1']"),
         ("o1.json", lambda doc: doc.update(labels={"0-": "x", "0+": "x"}), ["export", "{f}", "--format", "svg"],
          "O1: unlabelled elements ['1']"),
+        ("o1.json", lambda doc: None, ["smash", "{f}", "{f}"], "labelled complex needs a 'labels' map"),
+        ("o1.json", lambda doc: None, ["gray", "--labelled", "{f}", "{f}"], "labelled complex needs a 'labels' map"),
+        ("o1.json", lambda doc: _set(doc, ["elements", 2, "covers", 0, "sign"], "x"), ["validate", "{f}"],
+         "O1: element '1' has invalid sign 'x'"),
     ],
-    ids=["tensor-unknown-generator", "smash-unlabelled-element", "export-unlabelled-element"],
+    ids=[
+        "tensor-unknown-generator", "smash-unlabelled-element", "export-unlabelled-element", "smash-without-labels",
+        "gray-labelled-without-labels", "validate-invalid-sign",
+    ],
 )
 def test_cli_documents_failing_their_own_check_exit_2(fixture_dir, tmp_path, capsys, base, edit, command, message):
     doc = json.loads((fixture_dir / base).read_bytes())

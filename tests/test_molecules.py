@@ -280,6 +280,12 @@ def test_recognize_atom_and_pasting():
     assert isinstance(got.certificate, Pasting) and got.certificate.k == 0
 
 
+def test_recognize_refuses_a_subset_that_is_not_closed():
+    u21 = u_cell(2, 1)
+    with pytest.raises(ValueError, match="recognition expects a closed subset"):
+        recognize(u21.complex, frozenset({"top"}))
+
+
 def test_recognize_rejects_disjoint_wires():
     from pastekit import Complex
 

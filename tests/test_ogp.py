@@ -35,6 +35,19 @@ def test_structure_no_parallel_edges():
         Complex("bad", {"v": (0, []), "e": (1, [("v", MINUS), ("v", PLUS)])})
 
 
+def test_structure_signs_are_minus_or_plus():
+    with pytest.raises(StructureError, match="element 'e' has invalid sign 'x'"):
+        Complex("bad", {"v": (0, []), "e": (1, [("v", "x")])})
+
+
+def test_restrict_and_relabel_refuse():
+    o2 = globe(2)
+    with pytest.raises(ValueError, match="O2: cannot restrict to a non-closed subset"):
+        o2.restrict(frozenset({"2"}))
+    with pytest.raises(ValueError, match="relabelling is not injective"):
+        o2.relabel({"0-": "p", "0+": "p"})
+
+
 def test_closure_examples():
     o2 = globe(2)
     assert o2.closure(["2"]) == frozenset(o2.elements())

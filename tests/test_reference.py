@@ -33,6 +33,13 @@ the positive word of the inverse permutation read back from its target, and
 by position from the source.  `block_sigma` reads its inverse word off its
 positive word backwards, and the inverse word of the inverse permutation on
 the column-major word is kept as its reference.
+`_to_normal_swaps` sorts an order top-down, each cell in turn moving right
+past the lower-ranked cells after it; `ref_to_normal_swaps` rescans every
+adjacent pair before each swap and takes the largest out-of-place one.
+`interchanger_path` builds its forward steps from the second sort's swaps
+reversed; `ref_interchanger_path` replays them on the order to read each
+pair.  The two must give the same path on rows of 2-globes and on frob's
+boundaries.
 Recognition tries one split at each cut of a frame order, the one `_cut`
 builds from the cells after the cut; `ref_recognize` keeps both candidates
 of `ref_split_candidates`, from the cells after the cut and from the cells
@@ -105,6 +112,7 @@ from pastekit import (
     u_cell,
     validate_complex,
 )
+from pastekit.graycat import GrayExpr3, Interchange, TwoCellNF, _precedence, _to_normal_swaps, interchanger_path, walk
 from pastekit.molecules import _fold, _glue, _mismatch, _paste_all, _rename, unique_iso, whole
 from pastekit.ogp import ElementReport, ValidationReport, _Index, _lex_topo, _unique_topo
 from pastekit.orders import _find_cycle, _frame_graph, _frame_loops, is_k_order
@@ -990,6 +998,97 @@ def test_threads_sharing_a_complex_get_the_single_threaded_expressions():
     shared = F.molecule.complex
     want = _frob_exprs(F, shared.relabel({}))
     assert _in_four_threads(lambda: _frob_exprs(F, shared)) == [want] * 4
+
+
+def ref_to_normal_swaps(rank: dict[str, int], order: tuple[str, ...]) -> list[tuple[int, tuple[str, str]]]:
+    """The adjacent swaps sorting ``order`` by rank: before each swap every
+    adjacent pair is rescanned, and of those out of place the one with the
+    largest ranks is swapped."""
+    cur = list(order)
+    swaps = []
+    while True:
+        candidates = [p for p in range(len(cur) - 1) if rank[cur[p + 1]] < rank[cur[p]]]
+        if not candidates:
+            return swaps
+        p = max(
+            candidates,
+            key=lambda q: (max(rank[cur[q]], rank[cur[q + 1]]), min(rank[cur[q]], rank[cur[q + 1]])),
+        )
+        swaps.append((p, (cur[p], cur[p + 1])))
+        cur[p], cur[p + 1] = cur[p + 1], cur[p]
+
+
+def ref_interchanger_path(cx: Complex, support: frozenset[str], frm: tuple[str, ...], to: tuple[str, ...]) -> tuple:
+    """`interchanger_path` with the second sort's swaps replayed on the order,
+    each forward step reading its pair off the replayed order."""
+    _, rank, _ = _precedence(cx, support)
+    down = ref_to_normal_swaps(rank, frm)
+    back = ref_to_normal_swaps(rank, to)
+    while down and back and down[-1] == back[-1]:
+        down.pop()
+        back.pop()
+    steps = [Interchange(p, "inv", pair) for p, pair in down]
+    cur = list(frm)
+    for p, _ in down:
+        cur[p], cur[p + 1] = cur[p + 1], cur[p]
+    for p, _ in reversed(back):
+        steps.append(Interchange(p, "fwd", (cur[p], cur[p + 1])))
+        cur[p], cur[p + 1] = cur[p + 1], cur[p]
+    assert tuple(cur) == to
+    return tuple(steps)
+
+
+def test_to_normal_swaps_matches_the_rescanning_reference():
+    # the swaps see the ranks only through their order, so one rank per size
+    # covers every (rank, order) pair up to the names of the cells
+    for n in range(7):
+        cells = [f"c{i}" for i in range(n)]
+        rank = {x: i for i, x in enumerate(cells)}
+        for order in itertools.permutations(cells):
+            assert _to_normal_swaps(rank, order) == ref_to_normal_swaps(rank, order)
+
+
+def _assert_same_path(cx: Complex, support: frozenset[str], frm: tuple[str, ...], to: tuple[str, ...]) -> None:
+    path = interchanger_path(cx, support, frm, to)
+    assert path == ref_interchanger_path(cx, support, frm, to)
+    assert walk(GrayExpr3(cx, TwoCellNF(support, frm), path))[-1].order == to
+
+
+def test_interchanger_path_matches_the_replaying_reference_on_rows_of_globes():
+    rng = random.Random(0x1C)
+    for n in (1, 2, 3, 4, 5, 6, 8, 16, 32):
+        row = _paste_all([globe_molecule(2)] * n, 0)
+        normal = _precedence(row.complex, row.members)[0]
+        if n <= 4:
+            # every pair of orders; the row's cells are independent, so every order is admissible
+            pairs = itertools.product(itertools.permutations(normal), repeat=2)
+        elif n <= 6:
+            # every order, to and from the normal order
+            pairs = [p for order in itertools.permutations(normal) for p in ((order, normal), (normal, order))]
+        else:
+            pairs = [(tuple(rng.sample(normal, n)), tuple(rng.sample(normal, n))) for _ in range(20)]
+        for frm, to in pairs:
+            _assert_same_path(row.complex, row.members, frm, to)
+
+
+def test_interchanger_path_matches_the_replaying_reference_on_frob():
+    F = frob()
+    cx = F.molecule.complex
+    halves = frame_decomposition(F.molecule, 2, k_order(F.molecule, 2))
+    wholes = [F.molecule.members, *(v.members for v in halves), *(cx.closure([x]) for x in (F["phi"], F["psi"]))]
+    supports = {bd for m in wholes for bd in cx._boundary_pair(m, 2)}
+    pairs = 0
+    for support in supports:
+        normal, _, reach = _precedence(cx, support)
+        admissible = [
+            order
+            for order in itertools.permutations(normal)
+            if all(order.index(x) < order.index(y) for x in order for y in reach.get(x, ()) if y in order)
+        ]
+        for frm, to in itertools.product(admissible, repeat=2):
+            _assert_same_path(cx, support, frm, to)
+            pairs += 1
+    assert pairs > len(supports)
 
 
 def ref_spherical(cx: Complex, m: frozenset[str]) -> bool:
