@@ -266,7 +266,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, StructureError) as exc:
         print(str(exc), file=sys.stderr)
         return USAGE_ERROR
-    except ValueError as exc:
+    # `whole` takes a complex with one maximal element for an atom unchecked,
+    # so a file that fails validation can reach a construction's RuntimeError
+    except (ValueError, RuntimeError) as exc:
         print(str(exc), file=sys.stderr)
         return SEMANTIC_ERROR
 

@@ -40,13 +40,9 @@ def _merge(*tables: Mapping[str, str]) -> dict[str, str]:
 
 
 def _named(m: Molecule, name: str | None = None) -> NamedMolecule:
-    """``m`` with its single top cell called ``name``, or with no names."""
-    if name is None:
-        return NamedMolecule(m, {})
-    tops = [x for x in m.members if m.complex.dim_of(x) == m.dim]
-    if len(tops) != 1:
-        raise ValueError("expected a single top cell")
-    return NamedMolecule(m, {name: tops[0]})
+    """``m`` with its top cell called ``name``, or with no names; every
+    named ``m`` is an atom, whose certificate holds its top cell."""
+    return NamedMolecule(m, {} if name is None else {name: m.certificate.top})
 
 
 def _carry(glued: Molecule, u: NamedMolecule, v: NamedMolecule, *extra: Mapping[str, str]) -> NamedMolecule:

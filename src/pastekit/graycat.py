@@ -8,7 +8,8 @@ precedence of a support (its normal order, the rank of each cell, and which
 cells reach which) is derived once per complex and kept on its index, where
 every step looks it up.  One loop threads generator steps
 between canonical interchanger phases: for `interpret`, for
-`interpret_atom_in_context`, and for `expr_normalize`, which decides equality.
+`interpret_atom_in_context`, and for `expr_normalize`, which decides equality
+where it applies.
 """
 from __future__ import annotations
 
@@ -248,28 +249,22 @@ def _thread(
 
     Before each generator step the canonical interchanger path makes the
     atom's input block contiguous: at the latest position the precedence
-    allows or, given a ``context``, between the cells it lists before and
-    after the atom's id.
+    allows, before the first cell the block reaches, or, given a
+    ``context``, between the cells it lists before and after the atom's id.
+    `interchanger_path` refuses to reach that order when the current one
+    lacks some of the block's cells, or when no position is admissible:
+    then a cell placed after the block reaches it.
     """
     steps: list[Step] = []
     cur = source
     for atom in atoms:
         (_, bm_order), _ = _atom_boundary_cells(cx, atom)
         block = frozenset(bm_order)
-        if not block <= set(cur.order):
-            raise ExpressionError(f"input cells of {atom!r} are not available")
         if context is None:
             _, _, reach = _precedence(cx, cur.support)
             rest = tuple(c for c in cur.order if c not in block)
-            p_min, p_max = 0, len(rest)
-            for idx, c in enumerate(rest):
-                if any(b in reach.get(c, ()) for b in block):
-                    p_min = max(p_min, idx + 1)
-                if any(c in reach.get(b, ()) for b in block):
-                    p_max = min(p_max, idx)
-            if p_min > p_max:
-                raise ExpressionError("block cannot be made contiguous in any admissible order")
-            pre, post = rest[:p_max], rest[p_max:]
+            p = next((i for i, c in enumerate(rest) if any(c in reach.get(b, ()) for b in block)), len(rest))
+            pre, post = rest[:p], rest[p:]
         else:
             hole = context.index(atom)
             pre, post = tuple(context[:hole]), tuple(context[hole + 1 :])
@@ -338,6 +333,29 @@ def interpret_atom_in_context(
 # -- normal forms of expressions ---------------------------------------------------
 
 
+def _normalized(e: GrayExpr3) -> GrayExpr3 | None:
+    """``e`` rebuilt in canonical form, or None when it falls outside the
+    canonical fragment: an atom applied twice, atoms whose level-2 frame
+    graph loops, or a rethreading that fails (the source order of ``e`` is
+    not admissible, say, which `walk` does not check)."""
+    nfs = walk(e)
+    source, target = nfs[0], nfs[-1]
+    atoms = [s.atom for s in e.steps if isinstance(s, GenApp)]
+    cx = e.complex
+    ids = frozenset(atoms)
+    if len(ids) != len(atoms):
+        return None
+    region = frozenset().union(*[nf.support for nf in nfs], *[cx.closure([a]) for a in atoms])
+    g = maxd(cx, region, 2)
+    ordered = _lex_topo({a: tuple(sorted(g.reachable(a) & (ids - {a}))) for a in atoms})
+    if len(ordered) < len(atoms):
+        return None
+    try:
+        return GrayExpr3(cx, source, _thread(cx, source, ordered, target))
+    except ExpressionError:
+        return None
+
+
 def expr_normalize(e: GrayExpr3) -> GrayExpr3:
     """Rebuild an expression in canonical form.
 
@@ -347,30 +365,27 @@ def expr_normalize(e: GrayExpr3) -> GrayExpr3:
     canonical path.  Complete for composites produced by `interpret`; other
     shapes are returned unchanged when rebuilding fails.
     """
-    nfs = walk(e)
-    source, target = nfs[0], nfs[-1]
-    atoms = [s.atom for s in e.steps if isinstance(s, GenApp)]
-    cx = e.complex
-    ids = frozenset(atoms)
-    if len(ids) != len(atoms):
-        return e  # repeated applications fall outside the canonical fragment
-    region = frozenset().union(*[nf.support for nf in nfs], *[cx.closure([a]) for a in atoms])
-    g = maxd(cx, region, 2)
-    ordered = _lex_topo({a: tuple(sorted(g.reachable(a) & (ids - {a}))) for a in atoms})
-    if len(ordered) < len(atoms):
-        return e
-    try:
-        return GrayExpr3(cx, source, _thread(cx, source, ordered, target))
-    except ExpressionError:
-        return e
+    got = _normalized(e)
+    return e if got is None else got
 
 
-def expr_equal(e1: GrayExpr3, e2: GrayExpr3) -> bool:
+def expr_equal(e1: GrayExpr3, e2: GrayExpr3) -> bool | mol._Unknown:
     """Equality of composites modulo interchanger coherence and independent
-    reordering of generator steps."""
+    reordering of generator steps.
+
+    Composites with different sources differ.  Otherwise the answer is
+    whether their normal forms agree, and `molecules.UNKNOWN` (falsy) when
+    either has none (`expr_normalize` returns it unchanged): then equal
+    composites may have different step lists.
+    """
     # a normal form keeps its expression's endpoints, and equal steps from
     # equal sources reach equal targets
-    return nf_source(e1) == nf_source(e2) and expr_normalize(e1).steps == expr_normalize(e2).steps
+    if nf_source(e1) != nf_source(e2):
+        return False
+    n1, n2 = _normalized(e1), _normalized(e2)
+    if n1 is None or n2 is None:
+        return mol.UNKNOWN
+    return n1.steps == n2.steps
 
 
 @dataclass(frozen=True, eq=False)

@@ -310,10 +310,10 @@ class _Index:
         A path starts at its one point that is no arrow's output, and points
         and arrows alternate from there: each arrow covers exactly one input
         and one distinct output point, and every member is visited once.  A
-        single point is the path with no arrows.
+        single point is the path with no arrows.  An empty mask has no start,
+        and the walk never visits a member above dimension 1, so neither is
+        a path.
         """
-        if self.dim(m) not in (0, 1):
-            return None
         start = self.sources(m, 0)[0]  # points that are no member's output
         if not start or start & (start - 1):
             return None

@@ -406,6 +406,13 @@ def check_sim_substitution(
     dimension 2 a failure is an internal error; in dimension 3 it is a real
     counterexample and the report carries a blocking frame path between the
     surviving part's cells, phrased in the once-substituted complex.
+
+    The surviving site is a molecule again after the first collapse.  The
+    sites meet only in their boundaries, and an element of the survivor
+    inside the collapsed site's interior lies under one outside that site,
+    so the collapse keeps everything.  Either way it keeps the survivor and
+    its covers, with ids whose order is kept, so recognition repeats the
+    search that found the site, and finds it.
     """
     cx = u.complex
     n = u.dim
@@ -434,10 +441,8 @@ def check_sim_substitution(
         collapsed = mol.substitute(u, first.members, mol.compos(first))
         assert collapsed.left_map is not None
         image = frozenset(collapsed.left_map[x] for x in second)
+        sh = mol.recognize(collapsed.complex, image)
         try:
-            sh = mol.recognize(collapsed.complex, image)
-            if sh is None or sh is mol.UNKNOWN:
-                raise mol.SubstitutionError("surviving site is no longer a molecule")
             mol.substitute(collapsed, image, mol.compos(sh))
         except mol.SubstitutionError as exc:
             if n == 2:

@@ -74,10 +74,11 @@ def export_svg_2diagram(lc: LabelledComplex | Complex) -> str:
     placements = []
     for cell in cells:
         ins, outs = (_wire_sequence(cx, side) for side in cx._boundary_pair(cx.closure([cell]), 1))
-        if ins:
-            pos = layer.index(ins[0])
-        else:
-            pos = len(layer)
+        # a cell with no input wire would come first in the one order of the
+        # Hasse graph, so the output wire after it would have no input point
+        # and its output layer would be no path: every cell here has inputs,
+        # though in a complex that fails validation an earlier cell may have used them
+        pos = layer.index(ins[0]) if ins[0] in layer else len(layer)
         if layer[pos : pos + len(ins)] != ins:
             raise ValueError(f"cell {cell!r} inputs are not contiguous in the layer")
         layer = layer[:pos] + outs + layer[pos + len(ins) :]

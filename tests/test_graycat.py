@@ -4,18 +4,25 @@ import json
 import pytest
 
 from pastekit import (
+    Atom,
+    Complex,
     GenApp,
     GrayExpr3,
     Interchange,
     KOrder,
     MINUS,
+    Molecule,
     PLUS,
     TwoCellNF,
     UNKNOWN,
+    cell_to,
     expr_equal,
     expr_normalize,
     format_expr,
+    four_cell_equation,
     frame_decomposition,
+    globe,
+    globe_molecule,
     interchanger_path,
     interpret,
     interpret_atom_in_context,
@@ -27,6 +34,7 @@ from pastekit import (
     paste,
     recognize,
     u_cell,
+    validate_complex,
 )
 from pastekit.graycat import ExpressionError, apply_step, walk
 from pastekit.orders import normal_order_of_subset
@@ -48,6 +56,17 @@ def _row_of_cells(n):
     for _ in range(n - 1):
         u = paste(u, u_cell(1, 1), 0)
     return u
+
+
+def _looping_cells():
+    """``cell_to(X, X)`` over ``X = (O2 #0 O2) #1 U(2,1)``, with a second
+    3-cell ``back`` from the output 2-cells of ``top`` to its input ones: a
+    valid complex whose two 3-cells precede each other."""
+    x = paste(paste(u_cell(1, 1), u_cell(1, 1), 0), u_cell(2, 1), 1)
+    cx = cell_to(x, x).complex
+    table = {y: (cx.dim_of(y), cx.covers(y)) for y in cx}
+    table["back"] = (3, [(t, MINUS if s == PLUS else PLUS) for t, s in cx.covers("top")])
+    return Complex("loop3", table)
 
 
 def test_nf_endpoints_of_empty_and_single():
@@ -122,8 +141,6 @@ def test_interchanger_path_refuses_orders_of_different_cells():
 
 
 def test_single_cell_readings_refuse_frob(F):
-    from pastekit import four_cell_equation
-
     with pytest.raises(ExpressionError, match="expected a molecule with exactly one 3-cell"):
         interpret_atom_in_context(F.molecule)
     with pytest.raises(ExpressionError, match="expected a molecule with exactly one 4-cell"):
@@ -175,6 +192,11 @@ def test_interpret_rejects_non_2_order(F):
     u = F.molecule
     with pytest.raises(Exception):
         interpret(u, KOrder(2, (F["phi"],)))
+    with pytest.raises(ExpressionError, match="^interpretation applies to 3-dimensional molecules$"):
+        interpret(u_cell(1, 1))
+    cx = _looping_cells()
+    with pytest.raises(ExpressionError, match="^no admissible 2-order: frame graph loops$"):
+        interpret(Molecule(cx, cx.whole(), Atom("top")))
 
 
 def test_expr_inverse_pair_cancels():
@@ -186,6 +208,36 @@ def test_expr_inverse_pair_cancels():
     back = interchanger_path(cx, row.members, other, normal)
     both = GrayExpr3(cx, TwoCellNF(row.members, normal), fwd + back)
     assert expr_normalize(both).steps == ()
+
+
+def test_expr_equal_answers_unknown_outside_the_canonical_fragment():
+    cx = _looping_cells()
+    assert validate_complex(cx).passed
+    bm = cx.boundary(cx.closure(["top"]), 2, MINUS)
+    source = TwoCellNF(bm, normal_order_of_subset(cx, bm))
+    a, b = source.order[:2]
+    around = GrayExpr3(cx, source, (GenApp("top", (), ()), GenApp("back", (), ())))
+    detour = GrayExpr3(cx, source, (Interchange(0, "fwd", (a, b)), Interchange(0, "inv", (b, a))) + around.steps)
+    again = GrayExpr3(cx, source, around.steps + (GenApp("top", (), ()),))
+    assert (len(around), len(detour), len(again)) == (2, 4, 3)
+    # equal composites, as the detour's interchangers cancel; but the 3-cells
+    # loop, or one repeats, so neither has a normal form to compare
+    assert nf_target(around) == nf_target(detour)
+    for e1, e2 in ((around, detour), (again, again)):
+        assert expr_equal(e1, e2) is UNKNOWN
+        assert expr_normalize(e1) is e1
+    # a source order that is not admissible walks, but cannot be rethreaded
+    u = paste(cell_to(globe_molecule(2), globe_molecule(2)), globe_molecule(2), 1)
+    cx = u.complex
+    bm = cx.boundary(u.members, 2, MINUS)
+    first, second = normal_order_of_subset(cx, bm)
+    e = GrayExpr3(cx, TwoCellNF(bm, (second, first)), (GenApp("left/top", (second,), ()),))
+    assert walk(e)[-1].support == cx.boundary(u.members, 2, PLUS)
+    assert expr_normalize(e) is e
+    assert expr_equal(e, e) is UNKNOWN
+    # different sources decide the answer whatever the steps
+    assert expr_equal(e, interpret(u)) is False
+    assert expr_equal(interpret(u), interpret(u)) is True
 
 
 def test_expr_normalize_idempotent(F):
@@ -253,7 +305,7 @@ def test_two_cell_layered_encoding_roundtrip(rng):
 
 
 def test_four_cell_equation_is_parallel():
-    from pastekit import four_cell_equation, globe, gray_product
+    from pastekit import gray_product
 
     square = gray_product(globe(2), globe(2))
     whole = recognize(square, square.whole())
@@ -263,6 +315,22 @@ def test_four_cell_equation_is_parallel():
     assert [s.atom for s in eq.lhs.steps if isinstance(s, GenApp)] != [
         s.atom for s in eq.rhs.steps if isinstance(s, GenApp)
     ]
+
+
+def test_four_cell_equation_refuses_boundaries_it_cannot_read():
+    # hand-built handles on 4-cells that are no atoms: a 4-globe beside a
+    # stray point, and a 4-cell from one 3-globe to another apart from it
+    o4 = globe(4)
+    stray = Complex("stray", {"z": (0, []), **{x: (o4.dim_of(x), o4.covers(x)) for x in o4}})
+    o3 = globe(3)
+    apart = {f"{g}{x}": (o3.dim_of(x), [(f"{g}{y}", s) for y, s in o3.covers(x)]) for g in "ab" for x in o3}
+    apart = Complex("apart", {**apart, "x": (4, [("a3", MINUS), ("b3", PLUS)])})
+    for cx, top, message in (
+        (stray, "4", "-3-boundary did not recognise as a molecule"),
+        (apart, "x", "boundary interpretations are not parallel"),
+    ):
+        with pytest.raises(ExpressionError, match=f"^{message}$"):
+            four_cell_equation(Molecule(cx, cx.whole(), Atom(top)))
 
 
 def test_interpret_single_atom_equals_atom_interpretation(F):
@@ -291,6 +359,8 @@ def test_interpret_atom_all_contexts_agree(F):
         assert expr_equal(exprs[0], e)
     with pytest.raises(Exception):
         interpret_atom_in_context(v1, (F["phi"], F["x"], F["y"]))
+    with pytest.raises(ExpressionError, match="^the context must mention the 3-cell once$"):
+        interpret_atom_in_context(v1, (F["x"], F["y"]))
 
 
 def test_interpret_order_independence_on_random_composites(rng):
@@ -357,6 +427,11 @@ def test_cells_outside_the_support_raise_expression_error():
     nf = TwoCellNF(row.members, order)
     with pytest.raises(ExpressionError, match="ghost"):
         apply_step(cx, nf, GenApp("ghost", (), ()))
+    # a support holding a 3-cell's input 2-cell but not its wires
+    a = cell_to(u_cell(1, 1), u_cell(1, 1))
+    bare = TwoCellNF(frozenset({"left/top"}), ("left/top",))
+    with pytest.raises(ExpressionError, match="^input boundary of 'top' not inside the support$"):
+        apply_step(a.complex, bare, GenApp("top", (), ()))
     with pytest.raises(ExpressionError, match="ghost"):
         nf_target(GrayExpr3(cx, nf, (GenApp("ghost", (), ()),)))
     # a support naming an element the complex does not have

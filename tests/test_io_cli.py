@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from pastekit import Complex, globe, globe_molecule, gray_labelled, interval_chain, paste, u_cell, validate_complex
+from pastekit import MINUS, PLUS
 from pastekit import cli, interpret, serialize
 from pastekit.cli import main
 from pastekit.fixtures import fixture_files, frob, power
@@ -311,8 +312,9 @@ def test_cli_parse_error(tmp_path):
         ]},
         {"name": 5, "elements": [{"id": "v", "dim": 0, "covers": []}]},
         {"name": "bad", "elements": 5},
+        {"name": "bad", "elements": ["v"]},
     ],
-    ids=["list-cover-id", "bool-dim", "int-name", "int-elements"],
+    ids=["list-cover-id", "bool-dim", "int-name", "int-elements", "string-element"],
 )
 def test_cli_rejects_mistyped_fields(tmp_path, capsys, doc):
     with pytest.raises(ParseError):
@@ -372,11 +374,18 @@ SLICE = ["relations", 0, "lhs", "slices", 0]
         (["generators"], "μ", "expected an object with a 'generators' list"),
         (["generators", 0], {"in": ["1", "1"], "out": ["1"]}, "malformed generator"),
         (["relations", 0], {"name": "α"}, "relation without 'lhs'"),
+        (SLICE, 5, "malformed slice 5"),
+        (["relations", 0, "rhs", "source"], ["1", "1"], "α: sides have different sources"),
+        (
+            ["relations", 1, "rhs", "slices"],
+            [{"pre": [], "op": {"gen": "η"}, "post": ["1"]}],
+            "λ: sides have different targets",
+        ),
     ],
     ids=[
         "int-flags", "list-relation", "string-sorts", "string-source", "string-pre", "string-post",
         "string-braid", "triple-braidInv", "unknown-op", "int-cell", "string-generators",
-        "nameless-generator", "relation-without-lhs",
+        "nameless-generator", "relation-without-lhs", "int-slice", "sources-differ", "targets-differ",
     ],
 )
 def test_cli_rejects_mistyped_presentation(fixture_dir, tmp_path, capsys, path, value, match):
@@ -398,8 +407,9 @@ def test_cli_rejects_mistyped_presentation(fixture_dir, tmp_path, capsys, path, 
         (["steps", 0, "interchange", "pair"], "ab", "pair"),
         (["steps", 0, "interchange", "pos"], "0", "pos"),
         (["steps", 0, "interchange", "pos"], True, "pos"),
+        (["steps", 0], {"turn": {}}, "malformed expression: 'apply'"),
     ],
-    ids=["string-support", "string-pair", "string-pos", "bool-pos"],
+    ids=["string-support", "string-pair", "string-pos", "bool-pos", "unknown-step"],
 )
 def test_parse_expr_rejects_mistyped_fields(path, value, match):
     from pastekit import interpret
@@ -696,11 +706,46 @@ def _two_source_layer(fixture_dir, tmp_path):
     return ["export", str(path), "--format", "svg"]
 
 
+def _input_consumed_twice(fixture_dir, tmp_path):
+    """Two cells that both consume the wire f: once the first is drawn, the
+    second's inputs are no longer in the layer."""
+    arrow = lambda s, t: (1, [(s, MINUS), (t, PLUS)])
+    table = {x: (0, []) for x in "pqr"}
+    table.update(f=arrow("p", "q"), g=arrow("q", "r"), h=arrow("q", "r"), k=arrow("p", "q"))
+    table.update(first=(2, [("f", MINUS), ("k", PLUS)]), second=(2, [("f", MINUS), ("g", MINUS), ("h", PLUS)]))
+    path = tmp_path / "twice.json"
+    path.write_bytes(serialize_complex(Complex("twice", table)))
+    return ["export", str(path), "--format", "svg"]
+
+
 def _side_by_side(fixture_dir, tmp_path):
     """Two 2-cells pasted at 0: a molecule without a spherical boundary."""
     path = tmp_path / "side.json"
     path.write_bytes(serialize_complex(paste(u_cell(1, 1), u_cell(1, 1), 0).complex))
     return ["compos", str(path)]
+
+
+def _two_in_two_out(fixture_dir, tmp_path):
+    """``paste`` of an arrow from two points to two others with itself: the
+    one maximal element makes it an atom unchecked, but its input points can
+    be swapped, so the 0-boundaries match in two ways."""
+    points = {x: (0, []) for x in "abcd"}
+    arrow = (1, [("a", MINUS), ("b", MINUS), ("c", PLUS), ("d", PLUS)])
+    path = tmp_path / "r.json"
+    path.write_bytes(serialize_complex(Complex("R", {**points, "r": arrow})))
+    return ["paste", "0", str(path), str(path)]
+
+
+def _apart_boundaries(fixture_dir, tmp_path):
+    """``interpret`` of a 3-cell from the 2-cell f => g to the 2-cell h => k,
+    four parallel wires: applying it leaves f and g behind."""
+    arrow = (1, [("p", MINUS), ("q", PLUS)])
+    table = {"p": (0, []), "q": (0, []), "f": arrow, "g": arrow, "h": arrow, "k": arrow}
+    table.update(alpha=(2, [("f", MINUS), ("g", PLUS)]), beta=(2, [("h", MINUS), ("k", PLUS)]))
+    table["A"] = (3, [("alpha", MINUS), ("beta", PLUS)])
+    path = tmp_path / "apart.json"
+    path.write_bytes(serialize_complex(Complex("apart", table)))
+    return ["interpret", str(path)]
 
 
 def _o3_doc(fixture_dir, edit) -> str:
@@ -755,15 +800,18 @@ def _disjoint_globes(n: int):
         (_side_by_side, "((O1=>O1)#0(O1=>O1)): composite cell needs a spherical boundary"),
         (lambda d, t: ["export", str(d / "frob.json"), "--format", "svg"], "string diagrams render up to dimension 2"),
         (_two_source_layer, "wire layer is not a single path"),
+        (_input_consumed_twice, "cell 'second' inputs are not contiguous in the layer"),
         # recognition finds no split of two arrows, and cannot tell above dimension 3
         (_disjoint_globes(1), "pair1: not a molecule"),
         (_disjoint_globes(4), "pair4: molecule status unknown"),
         (_o3_edited(_cut_2_minus), "O3: precedence is not total on this subset"),
         (_o3_edited(_flip_1_minus), "O3: precedence is not total on this subset"),
+        (_two_in_two_out, "molecule isomorphism is not unique between R and R; inputs are not regular molecules"),
+        (_apart_boundaries, "interpretation did not land on the output boundary"),
     ],
     ids=[
-        "paste", "compos", "svg-dimension", "svg-two-sources", "compos-two-arrows", "compos-two-4-globes",
-        "interpret-cut-cover", "interpret-flipped-sign",
+        "paste", "compos", "svg-dimension", "svg-two-sources", "svg-input-consumed-twice", "compos-two-arrows", "compos-two-4-globes",
+        "interpret-cut-cover", "interpret-flipped-sign", "paste-two-isomorphisms", "interpret-apart-boundaries",
     ],
 )
 def test_cli_semantic_failures_exit_1_with_one_line(fixture_dir, tmp_path, capsys, argv, message):

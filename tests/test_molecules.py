@@ -42,6 +42,8 @@ def test_globe_counts():
     assert o2.source_set(o2.whole(), 1, MINUS) == {"1-"}
     assert len(globe(3)) == 7
     assert validate_complex(globe(3)).passed
+    with pytest.raises(ValueError, match="^globe dimension must be >= 0$"):
+        globe(-1)
 
 
 def test_interval_chain_examples():
@@ -52,6 +54,8 @@ def test_interval_chain_examples():
     last = i3.boundary(0, PLUS)
     assert len(last) == 1
     assert i3.complex.dim_of(next(iter(last))) == 0
+    with pytest.raises(ValueError, match="^interval chains need at least one arrow$"):
+        interval_chain(0)
 
 
 def test_interval_chain_builds_one_complex_for_the_chain(monkeypatch):
@@ -155,6 +159,43 @@ def test_cell_to_checks_boundaries():
     assert spherical(cell_to(interval_chain(2), interval_chain(3)))
     with pytest.raises(PastingError, match="spherical"):
         cell_to(paste(u_cell(1, 1), interval_chain(1), 0), u_cell(2, 1))
+    with pytest.raises(PastingError, match="^cell_to requires molecules of equal dimension$"):
+        cell_to(interval_chain(1), globe_molecule(2))
+    # a loop of two arrows passes the spherical test with both 0-boundaries
+    # empty, so a cell over it would have no face
+    points = {"p": (0, []), "q": (0, [])}
+    loop = Complex("loop", {**points, "a": (1, [("p", MINUS), ("q", PLUS)]), "b": (1, [("q", MINUS), ("p", PLUS)])})
+    handle = Molecule(loop, loop.whole(), Atom("a"))
+    assert spherical(handle)
+    with pytest.raises(PastingError, match="^cell_to would create a cell with no faces$"):
+        compos(handle)
+
+
+@pytest.mark.parametrize(
+    "fake",
+    [
+        lambda a, b: dict(zip(sorted(a[1]), sorted(b[1], reverse=True))),  # the two halves disagree on '0+'
+        lambda a, b: {x: min(b[1]) for x in a[1]},  # every element goes to '0+'
+    ],
+    ids=["disagree", "collide"],
+)
+def test_boundary_isomorphisms_must_join_into_one_bijection(monkeypatch, fake):
+    # cell_to glues along the union of the isomorphisms of both 1-boundaries
+    # of a 2-globe; a union that is no bijection is refused, not glued
+    monkeypatch.setattr(molecules, "unique_iso", fake)
+    with pytest.raises(RuntimeError, match="^boundary isomorphisms disagree on the shared sphere$"):
+        cell_to(globe_molecule(2), globe_molecule(2))
+
+
+def test_handles_print_and_compare():
+    i2 = paste(globe_molecule(1), globe_molecule(1), 0)
+    assert repr(i2) == "Molecule('(O1#0O1)', 5 elements, dim 1, pasting@0)"
+    assert repr(globe_molecule(2)) == "Molecule('O2', 5 elements, dim 2, atom)"
+    assert repr(i2.complex) == "Complex('(O1#0O1)', 5 elements, dim 1)"
+    assert i2.certificate != 3
+    side_by_side = paste(u_cell(1, 1), u_cell(1, 1), 0)
+    for u, want in ((i2, True), (side_by_side, False)):
+        assert spherical((u.complex, u.members)) is spherical(u) is want
 
 
 def test_cell_to_boundaries_are_the_inputs():
@@ -262,13 +303,45 @@ def test_substitute_refuses_a_site_it_cannot_replace():
     u = u_cell(2, 1)
     cx = u.complex
     wire = cx.closure(["right/1"])
-    for site, message in (
-        (u.members | {"ghost"}, "substitution site is not inside the molecule"),
-        (frozenset({"top"}), "substitution site is not closed"),
-        (wire, "site and replacement must share their top dimension"),
+    ends = cx.boundary(u.members, 0)  # two points, no molecule
+    o2 = u_cell(1, 1)
+    # a hand-built handle on a 3-chain that leaves out the first arrow's points
+    i3 = interval_chain(3)
+    last = i3.complex.closure(["right/1"])
+    open_chain = Molecule(i3.complex, last | {"left/left/1"}, Atom("right/1"))
+    # a hand-built handle on two disjoint 4-globes, which recognition cannot tell
+    o4 = globe(4)
+    pair = Complex(
+        "pair4", {f"{g}{x}": (o4.dim_of(x), [(f"{g}{y}", s) for y, s in o4.covers(x)]) for g in "ab" for x in o4}
+    )
+    two_globes = Molecule(pair, pair.whole(), Atom("a4"))
+    whisker = paste(o2, globe_molecule(1), 0)
+    for target, site, w, message in (
+        (u, u.members | {"ghost"}, u, "substitution site is not inside the molecule"),
+        (u, frozenset({"top"}), u, "substitution site is not closed"),
+        (u, wire, u, "site and replacement must share their top dimension"),
+        (u, ends, u, "substitution site is not a molecule"),
+        (o2, o2.members, paste(o2, o2, 0), "substitution requires spherical boundaries"),
+        # the cell is attached to the wire's inside, and two wires are no copy of one
+        (
+            o2,
+            o2.boundary(1, MINUS),
+            interval_chain(2),
+            "context is attached to the interior of the site and the replacement is not an isomorphic copy",
+        ),
+        (
+            open_chain,
+            last,
+            globe_molecule(1),
+            r"substitution produced a broken poset: \(\(O1#0O1\)#0O1\)\[sub\]: "
+            "element 'left/left/left/1' of dimension 1 covers nothing",
+        ),
+        (two_globes, pair.closure(["a4"]), globe_molecule(4), r"substitution result not recognised \(dimension above 3\)"),
+        # the whiskered wire is part of both 1-boundaries, which a longer wire changes
+        (whisker, whisker.complex.closure(["right/1"]), interval_chain(2), "substitution changed the outer boundary"),
     ):
         with pytest.raises(SubstitutionError, match=f"^{message}$"):
-            substitute(u, site, u)
+            substitute(target, site, w)
 
 
 def test_recognize_atom_and_pasting():

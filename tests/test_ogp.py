@@ -28,6 +28,8 @@ def test_structure_grading_needs_faces():
 def test_structure_grading_skips_level():
     with pytest.raises(StructureError, match="grading"):
         Complex("bad", {"v": (0, []), "f": (2, [("v", MINUS)])})
+    with pytest.raises(StructureError, match="^bad: element 'v' has negative dimension$"):
+        Complex("bad", {"v": (-1, [])})
 
 
 def test_structure_no_parallel_edges():

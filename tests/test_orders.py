@@ -5,11 +5,13 @@ import pytest
 
 from pastekit import (
     Atom,
+    Complex,
     KOrder,
     MINUS,
     Molecule,
     PLUS,
     UNKNOWN,
+    cell_to,
     check_sim_substitution,
     compos,
     frame_acyclic,
@@ -48,6 +50,7 @@ def test_maxd_interval_is_a_path():
     (incoming,) = [w for w in g.high if mids[0] in g.adjacency[w]]
     (outgoing,) = g.adjacency[mids[0]]
     assert incoming != outgoing
+    assert g.acyclic
 
 
 def test_maxd_single_high_vertex():
@@ -64,6 +67,8 @@ def test_frame_dimension_examples():
     assert frame_dimension(i2.complex, i2.members) == 0
     q = paste(u_cell(2, 1), u_cell(1, 2), 1)
     assert frame_dimension(q.complex, q.members) == 1
+    with pytest.raises(ValueError, match="^frame dimension of the empty subset is undefined$"):
+        frame_dimension(q.complex, frozenset())
 
 
 def test_frame_acyclic_low_dimensions(rng):
@@ -71,6 +76,7 @@ def test_frame_acyclic_low_dimensions(rng):
         u = random_molecule(rng, max_elements=25)
         rep = frame_acyclic(u.complex)
         assert rep.ok
+        assert rep
 
 
 def test_k_order_exists_at_codimension_one(rng):
@@ -168,6 +174,9 @@ def test_loop_freeness_fails_in_dimension_three():
     rep = totally_loop_free(cx, members)
     assert not rep.acyclic and not rep.total and rep.order is None
     assert_cycle(cx.oriented_hasse(members), rep.cycle)
+    assert rep.reach is None
+    with pytest.raises(ValueError, match="^precedence undefined on a looping subset$"):
+        rep.preceq(*rep.cycle[:2])
 
 
 def test_acyclic_but_partial_reachability():
@@ -214,10 +223,13 @@ def test_reachable_includes_a_vertex_exactly_when_it_lies_on_a_cycle():
     assert g.reachable("a") == g.reachable("x") == {"a", "b", "x"}
     assert g.reachable("b") == frozenset()
     assert g.reachable("c") == {"c"}
+    assert not g.acyclic
 
 
 def test_normal_1_order_atom():
     assert normal_1_order(u_cell(2, 1)).sequence == ("top",)
+    with pytest.raises(ValueError, match="^normal 1-orders exist on 2-dimensional molecules only$"):
+        normal_1_order(interval_chain(2))
 
 
 def test_normal_1_order_theta_with_hubs():
@@ -353,6 +365,20 @@ def test_frame_decomposition_refusals():
     for bad in (KOrder(2, order.sequence), KOrder(1, order.sequence[::-1]), KOrder(1, order.sequence[:1])):
         with pytest.raises(ValueError, match="^not a k-order for this molecule$"):
             frame_decomposition(q, 1, bad)
+    # hand-built handles on arrows that are no molecule, each with a 0-order
+    points = {"p": (0, []), "q": (0, []), "r": (0, [])}
+    arrow = lambda s, t: (1, [(s, MINUS), (t, PLUS)])
+    for arrows, message in (
+        # two parallel arrows, then a third: the first cut has no split
+        ({"a": arrow("p", "q"), "b": arrow("p", "q"), "c": arrow("q", "r")}, "split failed at index 0"),
+        # a stray point lies in both halves of every cut
+        ({"z": (0, []), "a": arrow("p", "q"), "c": arrow("q", "r")}, "factor at index 0 is not a molecule"),
+        ({"z": (0, []), "a": arrow("p", "q")}, "tail is not a molecule"),
+    ):
+        cx = Complex("arrows", {**points, **arrows})
+        sequence = tuple(x for x in sorted(arrows) if x != "z")
+        with pytest.raises(RuntimeError, match=f"^frame decomposition {message}$"):
+            frame_decomposition(Molecule(cx, cx.whole(), Atom("a")), 0, KOrder(0, sequence))
 
 
 def test_slice_decomposition_refusals():
@@ -372,6 +398,13 @@ def test_slice_decomposition_refusals():
         slice_decomposition(wires, lo_cut)
     with pytest.raises(ValueError, match="^the cut does not slice the molecule$"):
         slice_decomposition(u, wires)
+    # hand-built handles on the cell and on its input wire, each with a stray
+    # point: the halves meet in the cut, but neither is a molecule
+    o2 = u_cell(1, 1).complex
+    stray = Complex("stray", {"z": (0, []), **{x: (o2.dim_of(x), o2.covers(x)) for x in o2}})
+    cut = Molecule(stray, o2.boundary(o2.whole(), 1, MINUS) | {"z"}, Atom("z"))
+    with pytest.raises(RuntimeError, match="^slice halves failed molecule recognition$"):
+        slice_decomposition(Molecule(stray, stray.whole(), Atom("top")), cut)
 
 
 def test_slice_decomposition_rejects_nonspanning():
@@ -437,6 +470,21 @@ def test_sim_substitution_hypothesis_violations():
     side_by_side = paste(u_cell(1, 1), u_cell(1, 1), 0)
     with pytest.raises(ValueError, match="^first site does not have a spherical boundary$"):
         check_sim_substitution(side_by_side, side_by_side.members, side_by_side.members)
+
+
+def test_sim_substitution_with_a_site_below_the_top_dimension():
+    # the second site, a boundary of the first, cannot be collapsed once the
+    # first is: the cell above is attached to its inside
+    u = u_cell(2, 1)
+    with pytest.raises(RuntimeError, match="^dimension-2 simultaneous substitution must not fail$"):
+        check_sim_substitution(u, u.members, u.boundary(1, MINUS))
+    # in dimension 3 that is a failure, with no 3-cell in the site to block
+    u = cell_to(paste(globe_molecule(2), globe_molecule(2), 1), globe_molecule(2))
+    report = check_sim_substitution(u, u.members, u.boundary(2, MINUS))
+    assert not report and report.blocked_path is None
+    assert report.detail == (
+        "context is attached to the interior of the site and the replacement is not an isomorphic copy"
+    )
 
 
 def test_frame_decomposition_designates_uniquely(rng):

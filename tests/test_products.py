@@ -145,6 +145,12 @@ def test_projections_of_square():
     g = gray_product(globe(1), globe(1))
     left, right = gray_projections(g, globe(1), globe(1))
     assert left["1⊗1"] == "1" and right["1⊗1"] == "1"
+    with pytest.raises(ProductError, match="^element '1⊗0\\+' does not split over the given factors$"):
+        gray_projections(g, globe(2), globe(1))
+    # the arrow reversed: the projection sends input boundaries to output ones
+    reversed_arrow = Complex("rev", {"0-": (0, []), "0+": (0, []), "1": (1, [("0-", PLUS), ("0+", MINUS)])})
+    with pytest.raises(ProductError, match="^projection breaks the -0-boundary at '0\\+⊗1'$"):
+        gray_projections(g, globe(1), reversed_arrow)
 
 
 def test_projection_unit_is_iso():

@@ -72,7 +72,7 @@ from collections import Counter
 from typing import Iterator
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import test_golden
@@ -1601,6 +1601,8 @@ _json_values = st.recursive(
 
 
 @given(_json_values)
+@example("a\nb")  # a bare string, which no container holds
+@example({"empty": {}})
 @settings(max_examples=300, deadline=None)
 def test_dump_matches_json_on_random_values(value):
     assert _dump(value) == ref_dump(value)

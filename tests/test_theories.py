@@ -7,14 +7,17 @@ from hypothesis import strategies as st
 
 from pastekit import (
     BASEPOINT,
+    Complex,
     DiagComplexPresentation,
     LabelledComplex,
+    MINUS,
     Permutation,
     ProPresentation,
     TheoryError,
     block_sigma,
     builtin,
     globe,
+    interval_chain,
     perm_decompose,
     perm_recompose,
     presentation_of_smash,
@@ -26,7 +29,7 @@ from pastekit import (
     wire_permutation,
 )
 from pastekit.serialize import parse_presentation, serialize_presentation
-from pastekit.theories import Braid, BraidInv, GenOp, GenRef, Layered2Cell, Slice, pro_dual
+from pastekit.theories import Braid, BraidInv, DiagCell, GenOp, GenRef, Layered2Cell, Slice, pro_dual
 
 
 perms = st.integers(1, 8).flatmap(
@@ -43,6 +46,8 @@ def test_decompose_examples():
         with pytest.raises(TheoryError, match="positions must lie in 1..2"):
             perm_recompose(word, 3)
     assert perm_recompose([2, 1], 3) == Permutation((2, 3, 1))
+    with pytest.raises(TheoryError, match=r"^not a permutation of 1..2: \(1, 1\)$"):
+        Permutation((1, 1))
 
 
 @given(perms)
@@ -383,6 +388,22 @@ def test_diag_presentation_label_discipline():
     )
     with pytest.raises(TheoryError):
         bad.check()
+    mon = builtin("MonComplex")
+    with pytest.raises(TheoryError, match="^MonComplex: no generating cell 'nope'$"):
+        mon.cell("nope")
+    wire = lambda shape, label: LabelledComplex(
+        shape, {x: label if shape.dim_of(x) == 1 else BASEPOINT for x in shape.elements()}
+    )
+    # an arrow whose two ends are both inputs: an atom, but no cell
+    flat = Complex("flat", {"0-": (0, []), "0+": (0, []), "1": (1, [("0-", MINUS), ("0+", MINUS)])})
+    for shape, label, message in (
+        (interval_chain(2).as_complex(), "1", "shape is not an atom of dim 1"),
+        (globe(1), "nope", "label 'nope' is not a generator"),
+        (flat, "1", "shape fails validation"),
+    ):
+        cell = DiagCell("odd", 1, wire(shape, label))
+        with pytest.raises(TheoryError, match=f"^bad.odd: {message}$"):
+            DiagComplexPresentation("bad", (*mon.cells[:2], cell)).check()
 
 
 def test_docstring_examples():
